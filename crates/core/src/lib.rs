@@ -70,6 +70,7 @@ pub mod bounds;
 pub mod classifier;
 pub mod engine;
 pub mod error;
+pub mod fingerprint;
 pub mod group_coverage;
 pub mod intersectional;
 pub mod ledger;

@@ -16,6 +16,7 @@
 
 use coverage_core::engine::{AnswerSource, BatchAnswerSource, ObjectId};
 use coverage_core::error::AskError;
+use coverage_core::fingerprint::fnv1a;
 use coverage_core::schema::Labels;
 use coverage_core::target::Target;
 use std::collections::HashMap;
@@ -396,15 +397,6 @@ impl<S: BatchAnswerSource> BatchAnswerSource for FaultInjector<S> {
 // for identical questions, independent of when or in which batch the
 // question arrives.
 
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn set_key(objects: &[ObjectId], target: &Target) -> u64 {
     fnv1a(
         [0x53]
@@ -414,7 +406,10 @@ fn set_key(objects: &[ObjectId], target: &Target) -> u64 {
     )
 }
 
-fn point_key(object: ObjectId) -> u64 {
+/// The fingerprint of a point question about `object`. The simulated
+/// platform seeds its per-object crowd labeling from it too
+/// (`SeedMode::PerQuestion`).
+pub(crate) fn point_key(object: ObjectId) -> u64 {
     fnv1a([0x50].into_iter().chain(object.0.to_le_bytes()))
 }
 

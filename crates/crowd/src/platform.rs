@@ -8,6 +8,7 @@
 //! `Engine<MTurkSim<_>>` runs any coverage algorithm against the simulated
 //! crowd while the engine's ledger meters HITs.
 
+use crate::faults::point_key;
 use crate::pool::WorkerPool;
 use crate::quality::QualityControl;
 use crate::truth::{majority_label, majority_vote};
@@ -223,7 +224,11 @@ impl<'a, G: GroundTruth> MTurkSim<'a, G> {
         if !self.vote_cache.contains_key(&object) {
             let truth_labels = self.truth.labels_of(object);
             let k = self.qc.assignments_per_hit.get();
-            let rng = &mut self.question_rng(point_question_hash(object));
+            // Seeded by the object's point-question fingerprint: all
+            // randomness derives from the *object* (not the question
+            // shape), which is what keeps set, membership and point
+            // answers mutually consistent.
+            let rng = &mut self.question_rng(point_key(object));
             let workers = self.pool.assign(&self.eligible, k, rng);
             let votes: Vec<Labels> = workers
                 .iter()
@@ -278,25 +283,6 @@ fn vote_round<A: PartialEq>(
         votes.push(ans);
     }
     (aggregate(&votes), wrong)
-}
-
-// Stable FNV-1a fingerprint for per-object seeding: under
-// `SeedMode::PerQuestion` all randomness derives from the *object* (not the
-// question shape), which is what makes set, membership and point answers
-// mutually consistent. Only needs to be deterministic across runs and
-// distinct across objects.
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn point_question_hash(object: ObjectId) -> u64 {
-    fnv1a([0x50].into_iter().chain(object.0.to_le_bytes()))
 }
 
 impl<G: GroundTruth> AnswerSource for MTurkSim<'_, G> {

@@ -1,13 +1,11 @@
 //! The long-lived audit daemon: submit any time, query live, drain, stop.
 //!
-//! [`AuditService::run`](crate::AuditService::run) is a *scoped batch*: it
-//! consumes the service, runs everything queued, and returns. The paper,
-//! though, frames coverage auditing as a standing service a dataset owner
-//! consults on demand — which is what an [`AuditDaemon`] is. It owns the
-//! worker pool, the batching dispatcher and the sharded platform-wide
+//! The paper frames coverage auditing as a standing service a dataset
+//! owner consults on demand — which is what an [`AuditDaemon`] is. It owns
+//! the worker pool, the batching dispatcher and the sharded platform-wide
 //! [`SharedKnowledgeSource`] for its **whole lifetime**, so facts bought
-//! by a job today keep
-//! shrinking the queries of every job submitted tomorrow:
+//! by a job today keep shrinking the queries of every job submitted
+//! tomorrow:
 //!
 //! ```text
 //!             submit(JobSpec) ──▶ PriorityQueue ──▶ worker 1..W ─┐
@@ -17,14 +15,21 @@
 //!                       SharedKnowledgeSource ─ GovernedSource ─ dispatcher ─ platform
 //! ```
 //!
-//! Scheduling is the same priority queue the scoped pool uses
-//! ([`crate::scheduler`]): free workers pick the highest
-//! [`JobSpec::priority`] (service default for unset specs), ties go to the
-//! earlier submission, and queued jobs age upward so newcomers can delay
-//! but never starve them. Because the daemon reuses the scoped path's
-//! `run_job` verbatim, a report produced here is **byte-identical** (up to
-//! wall-clock) to the same spec run through `AuditService::run` —
-//! the `daemon_service` integration tests pin exactly that.
+//! The daemon is two halves. A source-independent core holds the job
+//! table, the priority queue, the workers, the knowledge store, the
+//! budget, telemetry and persistence; the dispatcher thread is the only
+//! part that holds the answer source. The *scoped batch*
+//! [`AuditService::run`](crate::AuditService::run) is this same core,
+//! started, fed one batch, drained and shut down within one call, with
+//! the dispatcher on the caller's thread (so its source may borrow). A
+//! report produced here is therefore **byte-identical** (up to wall-clock)
+//! to the same spec run through `AuditService::run` by construction — the
+//! `daemon_service` integration tests still pin it.
+//!
+//! Scheduling is one priority queue ([`crate::scheduler`]): free workers
+//! pick the highest [`JobSpec::priority`] (service default for unset
+//! specs), ties go to the earlier submission, and queued jobs age upward
+//! so newcomers can delay but never starve them.
 //!
 //! Lifecycle verbs: [`AuditDaemon::cancel`] flips one job's
 //! [`CancelToken`] (a queued job reports `Cancelled` without running, a
@@ -72,8 +77,10 @@
 //! assert_eq!(summary.jobs.len(), 2);
 //! ```
 
-use crate::dispatch::{dispatch_channel, run_dispatcher, DispatchHandle, DispatcherConfig};
-use crate::governor::{GlobalBudget, JobBudget};
+use crate::dispatch::{
+    dispatch_channel, run_dispatcher, DispatchHandle, DispatchStats, DispatcherConfig, Request,
+};
+use crate::governor::GlobalBudget;
 use crate::job::{JobId, JobReport, JobSpec, JobStatus};
 use crate::persist::{Persistence, SpillFile};
 use crate::scheduler::PriorityQueue;
@@ -84,6 +91,7 @@ use coverage_core::ledger::TaskLedger;
 use coverage_core::memo::{FactSink, FactSpill, KnowledgeStore, ReuseStats, SharedKnowledgeSource};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -266,16 +274,17 @@ pub struct Readiness {
     pub peers: Vec<PeerSummary>,
 }
 
-/// What each worker thread needs to run jobs forever.
+/// What each worker thread needs to run jobs forever — and all that
+/// [`run_job`] needs to run one.
 #[derive(Debug)]
-struct WorkerContext {
+pub(crate) struct WorkerContext {
     shared: Arc<Shared>,
-    dispatch: DispatchHandle,
-    memo_root: SharedKnowledgeSource<()>,
-    global_budget: Arc<GlobalBudget>,
-    per_job_budget: Option<u64>,
-    intra_job_parallelism: usize,
-    telemetry: Telemetry,
+    pub(crate) dispatch: DispatchHandle,
+    pub(crate) memo_root: SharedKnowledgeSource<()>,
+    pub(crate) global_budget: Arc<GlobalBudget>,
+    pub(crate) per_job_budget: Option<u64>,
+    pub(crate) intra_job_parallelism: usize,
+    pub(crate) telemetry: Telemetry,
     persist: Option<Arc<Persistence>>,
 }
 
@@ -300,8 +309,8 @@ struct DaemonState {
     /// Ids in the order their reports landed — the scheduler's observable
     /// output, pinned by the priority-order tests.
     finished_order: Vec<JobId>,
-    /// Flipped once by [`AuditDaemon::shutdown`]: no further submissions,
-    /// workers exit when the queue runs dry.
+    /// Flipped once when intake closes: no further submissions, workers
+    /// exit when the queue runs dry.
     accepting: bool,
 }
 
@@ -317,53 +326,41 @@ impl Shared {
     }
 }
 
-/// A long-lived, concurrently-shareable audit service: the worker pool,
-/// dispatcher and platform-wide knowledge store live as long as the daemon
-/// does. All methods take `&self`, so wrap it in an [`Arc`] to serve many
-/// clients (the HTTP front-end in [`crate::http`] does exactly that).
-///
-/// See the [module docs](self) for the lifecycle and a full example.
+/// The half of a daemon that does not depend on the answer source: job
+/// table, priority queue, worker threads, knowledge store, budget,
+/// telemetry and persistence. The dispatcher — the only part that holds
+/// the source — runs beside it: on its own thread for an [`AuditDaemon`],
+/// on the calling thread for a scoped
+/// [`AuditService::run`](crate::AuditService::run) batch (which is why
+/// that batch can borrow its source). Both front doors therefore run one
+/// worker pool and one shutdown path.
 #[derive(Debug)]
-pub struct AuditDaemon<S> {
+pub(crate) struct DaemonCore {
     shared: Arc<Shared>,
     config: ServiceConfig,
     memo_root: SharedKnowledgeSource<()>,
     global_budget: Arc<GlobalBudget>,
-    /// The daemon's own dispatcher connection; dropped at shutdown so the
-    /// dispatcher (whose other handles die with the workers) can exit.
+    /// The core's own dispatcher connection; dropped when intake closes so
+    /// the dispatcher (whose other handles die with the workers) can exit.
     dispatch: Mutex<Option<DispatchHandle>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    dispatcher: Mutex<Option<JoinHandle<(crate::dispatch::DispatchStats, S)>>>,
     started: Instant,
     telemetry: Telemetry,
     /// The durable knowledge plane, when [`ServiceConfig::data_dir`] is
     /// set: WAL sink, snapshot cadence, shutdown sync (see
     /// [`crate::persist`]).
     persist: Option<Arc<Persistence>>,
-    /// Per-tenant token buckets, when
-    /// [`ServiceConfig::tenant_rate_limit`] is set.
-    rate_gate: Option<RateGate>,
-    /// Per-tenant circuit breakers, shared with the dispatcher — the
-    /// daemon reads states for [`AuditDaemon::readiness`] and `/readyz`.
-    breakers: crate::breaker::BreakerRegistry,
-    /// Last-observed state of each fleet peer (`true` = up), written by
-    /// the anti-entropy loop ([`crate::fleet`]), read by
-    /// [`AuditDaemon::readiness`] and `/readyz`. `BTreeMap` so the
-    /// readiness body lists peers in a stable order. Empty for a solo
-    /// daemon.
-    peer_states: Mutex<std::collections::BTreeMap<String, bool>>,
 }
 
-impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
-    /// Starts the daemon: spawns the dispatcher (which takes ownership of
-    /// `source`) and `config.workers` worker threads, all idle until the
-    /// first [`AuditDaemon::submit`].
+impl DaemonCore {
+    /// Builds the core and spawns `config.workers` idle worker threads.
+    /// Returns the dispatcher's half with it — the request channel and the
+    /// loop's config — for the caller to run with the answer source.
     ///
     /// # Panics
-    /// Panics on non-positive `config` counts (workers, point batch, store
-    /// shards, intra-job parallelism) — daemon configuration is operator
-    /// input, not tenant input.
-    pub fn start(config: ServiceConfig, source: S) -> Self {
+    /// Panics on an invalid `config` ([`ServiceConfig::assert_valid`]) or
+    /// an unusable [`ServiceConfig::data_dir`].
+    pub(crate) fn start(config: ServiceConfig) -> (Self, Receiver<Request>, DispatcherConfig) {
         config.assert_valid();
 
         let shared = Arc::new(Shared {
@@ -378,16 +375,12 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
         });
         let telemetry = config.build_telemetry();
         let (dispatch_handle, dispatch_rx) = dispatch_channel();
-        // The daemon keeps its own clone of the breaker registry: the
-        // dispatcher records outcomes on it, `readiness()` and the
-        // `/readyz` body read tenant states from it.
-        let breakers = config.build_breakers();
         let dispatcher_config = DispatcherConfig {
             point_batch: config.point_batch,
             round_latency: config.round_latency,
             telemetry: telemetry.clone(),
             retry: config.retry_policy(),
-            breakers: breakers.clone(),
+            breakers: config.build_breakers(),
         };
         let global_budget = GlobalBudget::new(config.budget.global, config.point_batch);
         let memo_root: SharedKnowledgeSource<()> =
@@ -417,11 +410,6 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             persistence
         });
 
-        let dispatcher = std::thread::spawn(move || {
-            let mut source = source;
-            let stats = run_dispatcher(&mut source, dispatch_rx, &dispatcher_config);
-            (stats, source)
-        });
         let workers = (0..config.workers)
             .map(|_| {
                 let context = WorkerContext {
@@ -438,29 +426,186 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             })
             .collect();
 
-        let rate_gate = config.tenant_rate_limit.clone().map(RateGate::new);
-        Self {
+        let core = Self {
             shared,
             config,
             memo_root,
             global_budget,
             dispatch: Mutex::new(Some(dispatch_handle)),
             workers: Mutex::new(workers),
-            dispatcher: Mutex::new(Some(dispatcher)),
             started: Instant::now(),
             telemetry,
             persist,
+        };
+        (core, dispatch_rx, dispatcher_config)
+    }
+
+    /// Queues one spec under the held job-table lock — the submit step
+    /// both front doors share.
+    fn enqueue(&self, state: &mut DaemonState, spec: JobSpec, cancel: CancelToken) -> JobId {
+        let priority = spec.priority.unwrap_or(self.config.default_priority);
+        let id = JobId(state.jobs.len() as u64);
+        state
+            .queue
+            .push_tenant(id.0 as usize, priority, tenant_of(&spec.name));
+        self.telemetry.job_submitted();
+        self.telemetry.job_queued_delta(1);
+        self.telemetry.trace(Some(id.0), "submit", || {
+            format!(
+                "{} ({}) queued at priority {priority}",
+                spec.name,
+                spec.kind.name()
+            )
+        });
+        state.jobs.push(JobSlot {
+            spec: Arc::new(spec),
+            status: JobStatus::Queued,
+            report: None,
+            cancel,
+            submitted_at: Instant::now(),
+        });
+        id
+    }
+
+    /// The scoped batch's submit: queues every spec with its pre-made
+    /// cancel token under **one** lock — so the first pop already sees the
+    /// whole batch and scheduling is pure (priority, submission order). It
+    /// skips the daemon's tenant door on purpose: an invalid spec fails
+    /// only its own job (`run_job` validates it) and
+    /// [`ServiceConfig::tenant_rate_limit`] does not apply.
+    pub(crate) fn enqueue_batch(&self, batch: impl IntoIterator<Item = (JobSpec, CancelToken)>) {
+        {
+            let mut state = self.shared.lock();
+            for (spec, cancel) in batch {
+                self.enqueue(&mut state, spec, cancel);
+            }
+        }
+        self.shared.wakeup.notify_all();
+    }
+
+    /// Stops intake: further submissions are refused, the workers exit
+    /// once the queue runs dry, and the core's own dispatcher handle is
+    /// dropped, so the dispatcher returns when the last worker does.
+    /// `false` when intake was already closed.
+    pub(crate) fn close_intake(&self) -> bool {
+        let was_open = std::mem::replace(&mut self.shared.lock().accepting, false);
+        self.shared.wakeup.notify_all();
+        drop(lock(&self.dispatch).take());
+        was_open
+    }
+
+    /// The shutdown both front doors share, called once the dispatcher has
+    /// returned with its `dispatch` stats: joins the workers, makes the
+    /// store durable and assembles the lifetime [`ServiceReport`].
+    pub(crate) fn finish(&self, dispatch: DispatchStats) -> ServiceReport {
+        let workers: Vec<_> = std::mem::take(&mut *lock(&self.workers));
+        for worker in workers {
+            worker.join().expect("daemon worker never panics");
+        }
+        // Workers are gone, so no fact can commit past this point: fsync
+        // the WAL and cut a final compacted snapshot, making shutdown →
+        // restart lossless by construction. Best-effort on I/O error —
+        // the reports below are returned regardless.
+        if let Some(persist) = &self.persist {
+            let _ = persist.sync();
+            let _ = persist.snapshot(&self.memo_root);
+        }
+        let state = self.shared.lock();
+        let jobs: Vec<JobReport> = state
+            .jobs
+            .iter()
+            .map(|job| job.report.clone().expect("drained daemon job reported"))
+            .collect();
+        let mut total_logical = TaskLedger::new();
+        for job in &jobs {
+            total_logical.absorb(&job.ledger);
+        }
+        let reuse = self.memo_root.reuse_stats();
+        ServiceReport {
+            total_logical,
+            crowd_tasks: self.global_budget.tasks_spent(),
+            cache_hits: reuse.hits,
+            cache_misses: reuse.forwarded,
+            reuse,
+            dispatch,
+            wall_ms: self.started.elapsed().as_millis() as u64,
+            jobs,
+        }
+    }
+}
+
+/// Dropping a core without [`DaemonCore::finish`] (a daemon dropped
+/// without [`AuditDaemon::shutdown`], an early return, a panic unwind)
+/// must not leak its threads: closing intake wakes the workers (they exit
+/// once the queue is dry) and drops the dispatcher handle (the dispatcher
+/// exits when the last worker does). Best-effort and non-blocking — no
+/// joins in `drop`, the threads retire on their own.
+impl Drop for DaemonCore {
+    fn drop(&mut self) {
+        self.close_intake();
+    }
+}
+
+/// A long-lived, concurrently-shareable audit service: the worker pool,
+/// dispatcher and platform-wide knowledge store live as long as the daemon
+/// does. All methods take `&self`, so wrap it in an [`Arc`] to serve many
+/// clients (the HTTP front-end in [`crate::http`] does exactly that).
+///
+/// See the [module docs](self) for the lifecycle and a full example.
+#[derive(Debug)]
+pub struct AuditDaemon<S> {
+    core: DaemonCore,
+    /// The dispatcher thread — the only part of the daemon that holds the
+    /// answer source, handed back by [`AuditDaemon::shutdown`].
+    dispatcher: Mutex<Option<JoinHandle<(DispatchStats, S)>>>,
+    /// Per-tenant token buckets, when
+    /// [`ServiceConfig::tenant_rate_limit`] is set.
+    rate_gate: Option<RateGate>,
+    /// Per-tenant circuit breakers, shared with the dispatcher — the
+    /// daemon reads states for [`AuditDaemon::readiness`] and `/readyz`.
+    breakers: crate::breaker::BreakerRegistry,
+    /// Last-observed state of each fleet peer (`true` = up), written by
+    /// the anti-entropy loop ([`crate::fleet`]), read by
+    /// [`AuditDaemon::readiness`] and `/readyz`. `BTreeMap` so the
+    /// readiness body lists peers in a stable order. Empty for a solo
+    /// daemon.
+    peer_states: Mutex<std::collections::BTreeMap<String, bool>>,
+}
+
+impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
+    /// Starts the daemon: spawns `config.workers` worker threads, all idle
+    /// until the first [`AuditDaemon::submit`], and the dispatcher thread,
+    /// which takes ownership of `source`.
+    ///
+    /// # Panics
+    /// Panics on non-positive `config` counts (workers, point batch, store
+    /// shards, intra-job parallelism) — daemon configuration is operator
+    /// input, not tenant input.
+    pub fn start(config: ServiceConfig, source: S) -> Self {
+        let (core, requests, dispatcher_config) = DaemonCore::start(config);
+        let breakers = dispatcher_config.breakers.clone();
+        let dispatcher = std::thread::spawn(move || {
+            let mut source = source;
+            let stats = run_dispatcher(&mut source, requests, &dispatcher_config);
+            (stats, source)
+        });
+        let rate_gate = core.config.tenant_rate_limit.clone().map(RateGate::new);
+        Self {
+            core,
+            dispatcher: Mutex::new(Some(dispatcher)),
             rate_gate,
             breakers,
             peer_states: Mutex::new(std::collections::BTreeMap::new()),
         }
     }
+}
 
+impl<S> AuditDaemon<S> {
     /// The daemon's configuration — the HTTP front-end reads its
     /// connection-engine knobs (event-loop threads, keep-alive budget)
     /// from here.
     pub(crate) fn config(&self) -> &ServiceConfig {
-        &self.config
+        &self.core.config
     }
 
     /// The daemon's telemetry plane: the live metrics registry and trace
@@ -468,7 +613,7 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// The inert [`Telemetry::disabled`] plane when
     /// [`ServiceConfig::telemetry`] is off.
     pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        &self.core.telemetry
     }
 
     /// The refusal message for submissions after [`AuditDaemon::shutdown`]
@@ -496,16 +641,15 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// A token is only spent on an *admitted* submission.
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobId, SubmitRefusal> {
         spec.validate().map_err(SubmitRefusal::Invalid)?;
-        let priority = spec.priority.unwrap_or(self.config.default_priority);
-        let tenant = tenant_of(&spec.name).to_string();
         let id = {
-            let mut state = self.shared.lock();
+            let mut state = self.core.shared.lock();
             if !state.accepting {
                 return Err(SubmitRefusal::ShuttingDown);
             }
             if let Some(gate) = &self.rate_gate {
+                let tenant = tenant_of(&spec.name);
                 if let Some(max_queued) = gate.limit.max_queued {
-                    if state.queue.tenant_queued(&tenant) >= max_queued {
+                    if state.queue.tenant_queued(tenant) >= max_queued {
                         // Quota, not rate: the earliest useful retry is
                         // after a queued job drains — advertise 1s.
                         return Err(SubmitRefusal::RateLimited {
@@ -513,44 +657,31 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
                         });
                     }
                 }
-                gate.admit(&tenant)
+                gate.admit(tenant)
                     .map_err(|retry_after_secs| SubmitRefusal::RateLimited { retry_after_secs })?;
             }
-            let id = JobId(state.jobs.len() as u64);
-            state.queue.push_tenant(id.0 as usize, priority, &tenant);
-            let spec = Arc::new(spec);
-            self.telemetry.job_submitted();
-            self.telemetry.job_queued_delta(1);
-            self.telemetry.trace(Some(id.0), "submit", || {
-                format!(
-                    "{} ({}) queued at priority {priority}",
-                    spec.name,
-                    spec.kind.name()
-                )
-            });
-            state.jobs.push(JobSlot {
-                spec,
-                status: JobStatus::Queued,
-                report: None,
-                cancel: CancelToken::new(),
-                submitted_at: Instant::now(),
-            });
-            id
+            self.core.enqueue(&mut state, spec, CancelToken::new())
         };
-        self.shared.wakeup.notify_all();
+        self.core.shared.wakeup.notify_all();
         Ok(id)
     }
 
     /// The job's status **right now** — `Queued`, `Running`, or terminal.
     /// `None` for an id the daemon never issued.
     pub fn status(&self, id: JobId) -> Option<JobStatus> {
-        self.shared.lock().jobs.get(id.0 as usize).map(|j| j.status)
+        self.core
+            .shared
+            .lock()
+            .jobs
+            .get(id.0 as usize)
+            .map(|j| j.status)
     }
 
     /// The job's terminal report, once it has one (`None` while the job is
     /// still queued or running, or for an unknown id).
     pub fn report(&self, id: JobId) -> Option<JobReport> {
-        self.shared
+        self.core
+            .shared
             .lock()
             .jobs
             .get(id.0 as usize)
@@ -559,7 +690,8 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
 
     /// One summary line per submitted job, in submission order.
     pub fn jobs(&self) -> Vec<JobSummary> {
-        self.shared
+        self.core
+            .shared
             .lock()
             .jobs
             .iter()
@@ -579,7 +711,7 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// slot clone, not a scan of the whole job table). `None` for an id
     /// the daemon never issued. This is what `GET /jobs/{id}` serves.
     pub fn snapshot(&self, id: JobId) -> Option<(JobSummary, Option<JobReport>)> {
-        let state = self.shared.lock();
+        let state = self.core.shared.lock();
         let job = state.jobs.get(id.0 as usize)?;
         Some((
             JobSummary {
@@ -599,7 +731,7 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// token at its next question and reports `Cancelled` with the partial
     /// result, and a job already terminal is unaffected.
     pub fn cancel(&self, id: JobId) -> bool {
-        match self.shared.lock().jobs.get(id.0 as usize) {
+        match self.core.shared.lock().jobs.get(id.0 as usize) {
             Some(job) => {
                 job.cancel.cancel();
                 true
@@ -612,16 +744,16 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// execution order (priority first, then submission, modulo worker
     /// concurrency).
     pub fn finished_order(&self) -> Vec<JobId> {
-        self.shared.lock().finished_order.clone()
+        self.core.shared.lock().finished_order.clone()
     }
 
     /// Blocks until no job is queued or running. Jobs submitted *after*
     /// drain returns are of course not waited for.
     pub fn drain(&self) {
-        let mut state = self.shared.lock();
+        let shared = &self.core.shared;
+        let mut state = shared.lock();
         while !(state.queue.is_empty() && state.running == 0) {
-            state = self
-                .shared
+            state = shared
                 .wakeup
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
@@ -631,7 +763,7 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// A live snapshot of the daemon's counters.
     pub fn stats(&self) -> DaemonStats {
         let (submitted, queued, running, done, exhausted, cancelled, failed) = {
-            let state = self.shared.lock();
+            let state = self.core.shared.lock();
             let (mut done, mut exhausted, mut cancelled, mut failed) = (0u64, 0u64, 0u64, 0u64);
             for job in &state.jobs {
                 match job.status {
@@ -664,10 +796,10 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             exhausted,
             cancelled,
             failed,
-            workers: self.config.workers as u64,
-            crowd_tasks: self.global_budget.tasks_spent(),
-            reuse: self.memo_root.reuse_stats(),
-            uptime_ms: self.started.elapsed().as_millis() as u64,
+            workers: self.core.config.workers as u64,
+            crowd_tasks: self.core.global_budget.tasks_spent(),
+            reuse: self.core.memo_root.reuse_stats(),
+            uptime_ms: self.core.started.elapsed().as_millis() as u64,
         }
     }
 
@@ -679,10 +811,11 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
             .as_ref()
             .is_some_and(|handle| !handle.is_finished());
         let persistence_healthy = self
+            .core
             .persist
             .as_ref()
             .is_none_or(|persist| !persist.is_degraded())
-            && self.telemetry.persist_errors_total() == 0;
+            && self.core.telemetry.persist_errors_total() == 0;
         let breakers = self
             .breakers
             .states()
@@ -713,7 +846,7 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// state-changing bodies (`/store/import`, `/fleet/delta`) with 503
     /// instead of racing the teardown.
     pub fn is_accepting(&self) -> bool {
-        self.shared.lock().accepting
+        self.core.shared.lock().accepting
     }
 
     /// Records the last-observed state of fleet peer `peer` (`true` =
@@ -732,11 +865,12 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// `POST /fleet/delta`.
     pub fn absorb_fleet_delta(&self, from: &str, delta: &KnowledgeStore) {
         if !delta.is_empty() {
-            self.memo_root.seed_store(delta);
-            self.telemetry
+            self.core.memo_root.seed_store(delta);
+            self.core
+                .telemetry
                 .record_recovered_facts(delta.fact_count() as u64);
         }
-        self.telemetry.record_fleet_delta(from);
+        self.core.telemetry.record_fleet_delta(from);
     }
 
     /// A consistent copy of the platform-wide fact base — everything the
@@ -745,7 +879,7 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// what `GET /store/export` serves: the whole knowledge plane as one
     /// JSON document a fresh daemon can [`import`](Self::import_store).
     pub fn export_store(&self) -> KnowledgeStore {
-        self.memo_root.store_snapshot()
+        self.core.memo_root.store_snapshot()
     }
 
     /// Seeds a previously exported fact base into this daemon's store and
@@ -758,13 +892,14 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// Importing while jobs run is safe; in-flight queries see the new
     /// facts at their next store lookup.
     pub fn import_store(&self, store: &KnowledgeStore) {
+        let core = &self.core;
         if !store.is_empty() {
-            self.memo_root.seed_store(store);
-            self.telemetry
+            core.memo_root.seed_store(store);
+            core.telemetry
                 .record_recovered_facts(store.fact_count() as u64);
         }
-        if let Some(persist) = &self.persist {
-            let _ = persist.snapshot(&self.memo_root);
+        if let Some(persist) = &core.persist {
+            let _ = persist.snapshot(&core.memo_root);
         }
     }
 
@@ -773,73 +908,18 @@ impl<S: BatchAnswerSource + Send + 'static> AuditDaemon<S> {
     /// [`ServiceReport`] together with the answer source (e.g. to read
     /// platform statistics). `None` on any call after the first.
     pub fn shutdown(&self) -> Option<(ServiceReport, S)> {
-        {
-            let mut state = self.shared.lock();
-            if !state.accepting {
-                return None;
-            }
-            state.accepting = false;
+        if !self.core.close_intake() {
+            return None;
         }
-        self.shared.wakeup.notify_all();
-        let workers: Vec<_> = std::mem::take(&mut *lock(&self.workers));
-        for worker in workers {
-            worker.join().expect("daemon worker never panics");
-        }
-        // Workers are gone, so no fact can commit past this point: fsync
-        // the WAL and cut a final compacted snapshot, making shutdown →
-        // restart lossless by construction. Best-effort on I/O error —
-        // the in-flight reports below are returned regardless.
-        if let Some(persist) = &self.persist {
-            let _ = persist.sync();
-            let _ = persist.snapshot(&self.memo_root);
-        }
-        // Workers are gone; dropping the daemon's own handle disconnects
-        // the dispatcher's channel and lets it exit with its stats.
-        drop(lock(&self.dispatch).take());
         let dispatcher = lock(&self.dispatcher).take()?;
-        let (dispatch_stats, source) = dispatcher.join().expect("dispatcher exits cleanly");
-
-        let state = self.shared.lock();
-        let jobs: Vec<JobReport> = state
-            .jobs
-            .iter()
-            .map(|job| job.report.clone().expect("drained daemon job reported"))
-            .collect();
-        let mut total_logical = TaskLedger::new();
-        for job in &jobs {
-            total_logical.absorb(&job.ledger);
-        }
-        let reuse = self.memo_root.reuse_stats();
-        let report = ServiceReport {
-            total_logical,
-            crowd_tasks: self.global_budget.tasks_spent(),
-            cache_hits: reuse.hits,
-            cache_misses: reuse.forwarded,
-            reuse,
-            dispatch: dispatch_stats,
-            wall_ms: self.started.elapsed().as_millis() as u64,
-            jobs,
-        };
-        Some((report, source))
+        let (dispatch, source) = dispatcher.join().expect("dispatcher exits cleanly");
+        Some((self.core.finish(dispatch), source))
     }
 }
 
-/// Dropping a daemon without [`AuditDaemon::shutdown`] (early return,
-/// panic unwind) must not leak its threads: flag the state, wake the
-/// workers (they exit once the queue is dry) and drop the dispatcher
-/// handle (it exits when the last worker does). Best-effort and
-/// non-blocking — no joins in `drop`, the threads retire on their own.
-impl<S> Drop for AuditDaemon<S> {
-    fn drop(&mut self) {
-        self.shared.lock().accepting = false;
-        self.shared.wakeup.notify_all();
-        drop(lock(&self.dispatch).take());
-    }
-}
-
-/// One worker thread: pop the highest-priority job, run it with the scoped
-/// path's `run_job`, publish the report, repeat — until shutdown empties
-/// the queue.
+/// One worker thread: pop the highest-priority job, run it with
+/// [`run_job`], publish the report, repeat — until intake is closed and
+/// the queue is empty.
 fn worker_loop(context: WorkerContext) {
     loop {
         let (index, spec, cancel, submitted_at) = {
@@ -878,21 +958,7 @@ fn worker_loop(context: WorkerContext) {
         let queued_ms = submitted_at.elapsed().as_millis() as u64;
         context.telemetry.job_queued_delta(-1);
         context.telemetry.job_running_delta(1);
-        let budget = JobBudget::new(
-            spec.budget.or(context.per_job_budget),
-            Arc::clone(&context.global_budget),
-        );
-        let report = run_job(
-            JobId(index as u64),
-            &spec,
-            &context.memo_root,
-            &context.dispatch,
-            budget,
-            cancel,
-            context.intra_job_parallelism,
-            queued_ms,
-            &context.telemetry,
-        );
+        let report = run_job(&context, JobId(index as u64), &spec, cancel, queued_ms);
         context.telemetry.job_running_delta(-1);
         context
             .telemetry

@@ -42,12 +42,11 @@ use crate::job::{JobId, JobReport, JobSpec};
 use crate::service::{lock, ServiceConfig, ServiceReport};
 use crate::telemetry::{tenant_of, Telemetry};
 use coverage_core::engine::{BatchAnswerSource, ObjectId};
+use coverage_core::fingerprint::fnv1a;
 use coverage_core::memo::KnowledgeStore;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,18 +66,16 @@ const FULL_SYNC_EVERY: u64 = 8;
 /// How long the router sleeps between `/stats` polls while draining.
 const DRAIN_POLL: Duration = Duration::from_millis(5);
 
+/// Ring placement hash: FNV-1a over the little-endian bytes, fixed by its
+/// definition, so every process and release computes the same ring —
+/// nodes and router agree on ownership without exchanging it.
 fn hash_one(value: u64) -> u64 {
-    // `DefaultHasher::new()` uses fixed keys, so ring placement is stable
-    // across processes and runs — nodes and router agree on ownership
-    // without exchanging the ring.
-    let mut hasher = DefaultHasher::new();
-    value.hash(&mut hasher);
-    hasher.finish()
+    fnv1a(value.to_le_bytes())
 }
 
 /// A consistent-hash ring over [`ObjectId`]s: `replicas` virtual points
 /// per node, ownership by successor point. Placement is deterministic
-/// (fixed-key hashing), so every fleet participant computes the same ring
+/// (FNV-1a), so every fleet participant computes the same ring
 /// from `(nodes, replicas)` alone.
 #[derive(Debug, Clone)]
 pub struct HashRing {
@@ -574,6 +571,32 @@ mod tests {
         assert!(
             moved < (total as usize) / 2,
             "adding one node moved {moved}/{total} keys"
+        );
+    }
+
+    /// Ring placement is part of the fleet's wire contract: nodes and
+    /// routers built from different releases must agree on every owner.
+    /// Pinned values come from an independent FNV-1a model of the ring.
+    #[test]
+    fn ring_placement_golden_vectors() {
+        let ring = HashRing::new(4, 32);
+        let owners: Vec<(u32, usize)> = [0u32, 32, 33, 34, 42, 500, 1000, 65_535, u32::MAX]
+            .into_iter()
+            .map(|raw| (raw, ring.owner_of(ObjectId(raw))))
+            .collect();
+        assert_eq!(
+            owners,
+            vec![
+                (0, 0),
+                (32, 2),
+                (33, 3),
+                (34, 1),
+                (42, 1),
+                (500, 3),
+                (1000, 1),
+                (65_535, 3),
+                (u32::MAX, 1),
+            ]
         );
     }
 

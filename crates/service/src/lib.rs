@@ -44,16 +44,23 @@
 //! drivers — never as panics — so every terminal [`JobStatus`] is ordinary
 //! data and exhausted/cancelled jobs still report partial progress.
 //!
-//! Two front doors share all of the above machinery:
+//! All of the above machinery is one daemon, reached through two front
+//! doors:
 //!
-//! * **scoped batch** — [`AuditService::run`] consumes the queued specs,
-//!   runs them to completion and returns one [`ServiceReport`];
 //! * **daemon** — [`AuditDaemon`](daemon) keeps the pool, dispatcher and
 //!   knowledge store alive indefinitely: submit at any time, query live
 //!   [`JobStatus`]es, cancel, drain, shut down — and serve it all over
 //!   HTTP/JSON via [`HttpServer`](http) (`POST /jobs`, `GET /jobs/{id}`,
 //!   …), since specs, statuses and reports already serialize
-//!   (`serde` + `serde_json`).
+//!   (`serde` + `serde_json`);
+//! * **scoped batch** — [`AuditService::run`] starts the same daemon
+//!   core, queues the collected specs, runs the dispatcher on the calling
+//!   thread until they finish and returns one [`ServiceReport`] through
+//!   the daemon's own shutdown. Its answer source may therefore borrow.
+//!
+//! Both honour every [`ServiceConfig`] knob, [`ServiceConfig::data_dir`]
+//! included, except the daemon-only submit door
+//! ([`ServiceConfig::tenant_rate_limit`]).
 //!
 //! ## Quick example
 //!

@@ -1,7 +1,8 @@
 //! Scheduling for the worker pool: who runs next.
 //!
-//! Both entry points of the service — the scoped [`AuditService::run`]
-//! batch and the long-lived [`AuditDaemon`] — pull jobs from one
+//! The workers of the one pool behind both entry points of the service —
+//! the long-lived [`AuditDaemon`] and the scoped [`AuditService::run`]
+//! batch, which runs on the daemon's pool — pull jobs from one
 //! `PriorityQueue` (crate-internal). Scheduling happens on two levels:
 //!
 //! 1. **Within a tenant** (tenant = the job-name segment before `/`, the

@@ -2,7 +2,10 @@
 //! knowledge store.
 //!
 //! [`AuditService`] collects submitted [`JobSpec`]s and [`AuditService::run`]
-//! executes them concurrently against one shared [`BatchAnswerSource`]:
+//! executes them concurrently against one shared [`BatchAnswerSource`], on
+//! the same worker pool an [`AuditDaemon`](crate::AuditDaemon) runs — the
+//! scoped batch is a daemon started, fed, drained and shut down within one
+//! call, with its dispatcher on the calling thread:
 //!
 //! ```text
 //!  job thread 1 ─ Engine ─ SharedKnowledgeSource ─ GovernedSource ─┐
@@ -50,8 +53,9 @@
 //! assert!(report.job(doomed).unwrap().status.is_cancelled());
 //! ```
 
-use crate::dispatch::{dispatch_channel, run_dispatcher, DispatchStats, DispatcherConfig};
-use crate::governor::{BudgetPolicy, BudgetScope, GlobalBudget, GovernedSource, JobBudget};
+use crate::daemon::{DaemonCore, WorkerContext};
+use crate::dispatch::{run_dispatcher, DispatchStats};
+use crate::governor::{BudgetPolicy, BudgetScope, GovernedSource, JobBudget};
 use crate::job::{AuditKind, AuditOutcome, JobId, JobReport, JobSpec, JobStatus, PhaseDurations};
 use crate::telemetry::{tenant_of, Telemetry};
 use coverage_core::base_coverage::base_coverage;
@@ -61,7 +65,7 @@ use coverage_core::error::{AskError, Interrupted};
 use coverage_core::group_coverage::{group_coverage, DncConfig};
 use coverage_core::intersectional::intersectional_coverage_par;
 use coverage_core::ledger::TaskLedger;
-use coverage_core::memo::{ReuseStats, SharedKnowledgeSource};
+use coverage_core::memo::ReuseStats;
 use coverage_core::multiple::{multiple_coverage_par, IntraJobParallelism, MultipleConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -97,9 +101,10 @@ pub struct ServiceConfig {
     /// it waits through — the starvation-freedom knob (see
     /// [`crate::scheduler`]). `0` disables aging (strict priority order);
     /// the default `1` means a job out-prioritized by `Δ` waits at most
-    /// `Δ` further pops. Aging never reorders jobs submitted together, so
-    /// scoped [`AuditService::run`] batches see pure (priority,
-    /// submission-order) scheduling whatever the value.
+    /// `Δ` further pops. Aging never reorders jobs queued together, and a
+    /// scoped [`AuditService::run`] queues its whole batch before the
+    /// first pop, so it sees pure (priority, submission-order) scheduling
+    /// whatever the value.
     pub priority_aging: u64,
     /// Enables the telemetry plane ([`crate::telemetry`]): the metrics
     /// registry, the trace ring and the daemon's `/metrics`–`/trace`
@@ -114,9 +119,10 @@ pub struct ServiceConfig {
     pub trace_capacity: usize,
     /// Root of the durable knowledge plane ([`crate::persist`]): the WAL,
     /// snapshots and spill segment live here. `None` (the default) keeps
-    /// the store purely in-memory — the pre-persistence behaviour. Only
-    /// the daemon front door persists; scoped [`AuditService::run`]
-    /// batches ignore this knob.
+    /// the store purely in-memory — the pre-persistence behaviour. Both
+    /// front doors honour it: a scoped [`AuditService::run`] recovers the
+    /// facts already there, logs every new one and cuts a final snapshot,
+    /// exactly as an [`AuditDaemon`](crate::AuditDaemon) does.
     pub data_dir: Option<std::path::PathBuf>,
     /// WAL records between compacted snapshots. Snapshots are cut at job
     /// boundaries (and once at shutdown), so this is a floor on cadence,
@@ -459,143 +465,26 @@ impl AuditService {
         }
     }
 
-    /// Runs every queued job to completion on the worker pool and returns
-    /// the report together with the answer source (e.g. to read platform
-    /// statistics afterwards).
-    pub fn run<S: BatchAnswerSource + Send>(self, source: S) -> (ServiceReport, S) {
-        let start = Instant::now();
-        let config = self.config;
-        let jobs = self.jobs;
-        let cancel_tokens: Vec<CancelToken> = lock(&self.cancel_tokens).clone();
-
-        let telemetry = config.build_telemetry();
-        for (index, spec) in jobs.iter().enumerate() {
-            telemetry.job_submitted();
-            telemetry.job_queued_delta(1);
-            telemetry.trace(Some(index as u64), "submit", || {
-                format!(
-                    "{} ({}) queued at priority {}",
-                    spec.name,
-                    spec.kind.name(),
-                    spec.priority.unwrap_or(config.default_priority)
-                )
-            });
-        }
-
-        let (dispatch_handle, dispatch_rx) = dispatch_channel();
-        let dispatcher_config = DispatcherConfig {
-            point_batch: config.point_batch,
-            round_latency: config.round_latency,
-            telemetry: telemetry.clone(),
-            retry: config.retry_policy(),
-            breakers: config.build_breakers(),
-        };
-        let global_budget = GlobalBudget::new(config.budget.global, config.point_batch);
-        let memo_root: SharedKnowledgeSource<()> =
-            SharedKnowledgeSource::with_shards((), config.store_shards);
-
-        let reports: Mutex<Vec<Option<JobReport>>> =
-            Mutex::new((0..jobs.len()).map(|_| None).collect());
-        // Priority dispatch: every queued spec competes on (priority,
-        // submission order) each time a worker frees up — with default
-        // priorities and uniform tenant weights this is exactly the old
-        // FIFO (asymmetric weights add WFQ across tenants, same as the
-        // daemon door).
-        let queue = Mutex::new({
-            let mut queue = crate::scheduler::PriorityQueue::with_weights(
-                config.priority_aging,
-                &config.tenant_weights,
-            );
-            for (index, spec) in jobs.iter().enumerate() {
-                queue.push_tenant(
-                    index,
-                    spec.priority.unwrap_or(config.default_priority),
-                    tenant_of(&spec.name),
-                );
-            }
-            queue
-        });
-
-        let (dispatch_stats, source) = std::thread::scope(|scope| {
-            let dispatcher = scope.spawn(|| {
-                let mut source = source;
-                let stats = run_dispatcher(&mut source, dispatch_rx, &dispatcher_config);
-                (stats, source)
-            });
-
-            let runners: Vec<_> = (0..config.workers.min(jobs.len().max(1)))
-                .map(|_| {
-                    let dispatch_handle = dispatch_handle.clone();
-                    let telemetry = telemetry.clone();
-                    scope.spawn(|| {
-                        let dispatch_handle = dispatch_handle;
-                        let telemetry = telemetry;
-                        loop {
-                            let index = match lock(&queue).pop() {
-                                Some(index) => index,
-                                None => break,
-                            };
-                            let spec = &jobs[index];
-                            let id = JobId(index as u64);
-                            // Scoped jobs are all "submitted" when the run
-                            // starts: queue wait is time-to-first-schedule
-                            // from there.
-                            let queued_ms = start.elapsed().as_millis() as u64;
-                            telemetry.job_queued_delta(-1);
-                            telemetry.job_running_delta(1);
-                            let budget = JobBudget::new(
-                                spec.budget.or(config.budget.per_job),
-                                Arc::clone(&global_budget),
-                            );
-                            let report = run_job(
-                                id,
-                                spec,
-                                &memo_root,
-                                &dispatch_handle,
-                                budget,
-                                cancel_tokens[index].clone(),
-                                config.intra_job_parallelism,
-                                queued_ms,
-                                &telemetry,
-                            );
-                            telemetry.job_running_delta(-1);
-                            telemetry.record_submit_to_first_result_ms(
-                                start.elapsed().as_millis() as u64
-                            );
-                            lock(&reports)[index] = Some(report);
-                        }
-                    })
-                })
-                .collect();
-            for runner in runners {
-                runner.join().expect("job runner never panics");
-            }
-            drop(dispatch_handle);
-            dispatcher.join().expect("dispatcher exits cleanly")
-        });
-
-        let jobs: Vec<JobReport> = reports
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            .map(|r| r.expect("every job reported"))
-            .collect();
-        let mut total_logical = TaskLedger::new();
-        for job in &jobs {
-            total_logical.absorb(&job.ledger);
-        }
-        let reuse = memo_root.reuse_stats();
-        let report = ServiceReport {
-            total_logical,
-            crowd_tasks: global_budget.tasks_spent(),
-            cache_hits: reuse.hits,
-            cache_misses: reuse.forwarded,
-            reuse,
-            dispatch: dispatch_stats,
-            wall_ms: start.elapsed().as_millis() as u64,
-            jobs,
-        };
-        (report, source)
+    /// Runs every queued job to completion and returns the report together
+    /// with the answer source (e.g. to read platform statistics
+    /// afterwards).
+    ///
+    /// This is the [`AuditDaemon`](crate::AuditDaemon)'s own machinery run
+    /// as one batch: it starts the daemon's source-independent core
+    /// (workers, queue, knowledge store, budget, telemetry and — with
+    /// [`ServiceConfig::data_dir`] set — persistence), queues every spec
+    /// and closes intake, then runs the dispatcher on the calling thread
+    /// until the workers run dry, and shuts down exactly as
+    /// [`AuditDaemon::shutdown`](crate::AuditDaemon::shutdown) does. The
+    /// source never leaves this thread, so it may borrow
+    /// (`PerfectSource::new(&truth)`).
+    pub fn run<S: BatchAnswerSource>(self, mut source: S) -> (ServiceReport, S) {
+        let (core, requests, dispatcher_config) = DaemonCore::start(self.config);
+        let cancel_tokens = lock(&self.cancel_tokens).clone();
+        core.enqueue_batch(self.jobs.into_iter().zip(cancel_tokens));
+        core.close_intake();
+        let dispatch = run_dispatcher(&mut source, requests, &dispatcher_config);
+        (core.finish(dispatch), source)
     }
 }
 
@@ -606,25 +495,21 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs one job end to end. Budget exhaustion, cancellation and platform
-/// failures arrive as `Err(Interrupted)` values from the algorithm driver —
-/// nothing panics and nothing is caught: the partial result and the live
-/// engine ledger go straight into the report. Shared by the scoped
-/// [`AuditService::run`] pool and the [`crate::daemon::AuditDaemon`]
-/// workers — one execution path is what makes daemon reports byte-identical
-/// to scoped ones.
-#[allow(clippy::too_many_arguments)] // one execution path shared by both front doors
+/// Runs one job end to end on a daemon worker (`context`). Budget
+/// exhaustion, cancellation and platform failures arrive as
+/// `Err(Interrupted)` values from the algorithm driver — nothing panics
+/// and nothing is caught: the partial result and the live engine ledger go
+/// straight into the report. Both front doors reach this through the same
+/// worker pool, which is what makes daemon reports byte-identical to
+/// scoped ones.
 pub(crate) fn run_job(
+    context: &WorkerContext,
     id: JobId,
     spec: &JobSpec,
-    memo_root: &SharedKnowledgeSource<()>,
-    dispatch_handle: &crate::dispatch::DispatchHandle,
-    budget: JobBudget,
     cancel: CancelToken,
-    default_parallelism: usize,
     queued_ms: u64,
-    telemetry: &Telemetry,
 ) -> JobReport {
+    let telemetry = &context.telemetry;
     let start = Instant::now();
     telemetry.record_queue_wait_ms(queued_ms);
     telemetry.record_tenant_queue_wait_ms(tenant_of(&spec.name), queued_ms);
@@ -704,11 +589,15 @@ pub(crate) fn run_job(
     // Tag the job's questions with (tenant, job id) so the dispatcher can
     // meter retries per tenant, gate on the tenant's breaker, and land
     // retry/dead-letter events in this job's trace timeline.
+    let budget = JobBudget::new(
+        spec.budget.or(context.per_job_budget),
+        Arc::clone(&context.global_budget),
+    );
     let governed = GovernedSource::new(
-        dispatch_handle.tagged(tenant_of(&spec.name), id.0),
+        context.dispatch.tagged(tenant_of(&spec.name), id.0),
         budget.clone(),
     );
-    let source = memo_root.with_inner(governed);
+    let source = context.memo_root.with_inner(governed);
     let mut engine = Engine::with_point_batch(source, spec.n).with_cancel_token(cancel);
     if telemetry.is_enabled() {
         // Forward the core engine's phase events ("phase1", "scan_group")
@@ -719,7 +608,10 @@ pub(crate) fn run_job(
             job: id.0,
         })));
     }
-    let parallelism = IntraJobParallelism(spec.intra_parallelism.unwrap_or(default_parallelism));
+    let parallelism = IntraJobParallelism(
+        spec.intra_parallelism
+            .unwrap_or(context.intra_job_parallelism),
+    );
     let result = execute_algorithm(spec, &mut engine, parallelism);
     let ledger = *engine.ledger();
     let crowd_tasks = budget.tasks_spent();

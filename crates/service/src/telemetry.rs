@@ -510,8 +510,9 @@ struct Inner {
     trace: Mutex<TraceRing>,
 }
 
-/// The telemetry handle threaded through the daemon, the scoped service,
-/// the dispatcher, the worker pool and the HTTP front-end. Cloning shares
+/// The telemetry handle threaded through the daemon (and so the scoped
+/// batch that runs on it), the dispatcher, the worker pool and the HTTP
+/// front-end. Cloning shares
 /// the registry (an `Arc` bump); [`Telemetry::disabled`] is the free
 /// no-op variant. See the [module docs](self).
 #[derive(Clone, Default)]

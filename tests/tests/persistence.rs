@@ -19,7 +19,9 @@
 //!   structured `400`/`503` and leaves the fact base untouched.
 
 use coverage_core::prelude::*;
-use coverage_service::{AuditDaemon, AuditKind, JobId, JobReport, JobSpec, ServiceConfig};
+use coverage_service::{
+    AuditDaemon, AuditKind, AuditService, JobId, JobReport, JobSpec, ServiceConfig,
+};
 use integration_tests::female;
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -304,6 +306,42 @@ fn shutdown_then_restart_forwards_zero_questions() {
         assert_eq!(verdict_surface(a), verdict_surface(b));
     }
     second.shutdown().expect("second shutdown");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A scoped `AuditService::run` runs on the daemon's core, so it honours
+/// `data_dir` too: the facts a batch bought (here over a *borrowed*
+/// source) survive it, and a daemon started on the same directory re-runs
+/// the same specs without asking the crowd anything.
+#[test]
+fn scoped_run_with_data_dir_is_durable_for_a_daemon() {
+    let truth = Arc::new(synth_truth(2_500, 7, 17));
+    let workload = five_driver_workload(&truth);
+    let dir = scratch_dir("scoped");
+
+    let mut service = AuditService::new(ServiceConfig {
+        workers: 1,
+        data_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    for spec in &workload {
+        service.submit(spec.clone());
+    }
+    let (scoped, _) = service.run(PerfectSource::new(&*truth));
+    assert!(
+        scoped.crowd_tasks > 0,
+        "the batch must buy facts to persist"
+    );
+
+    let daemon = start_daemon(&truth, Some(&dir), None);
+    let rerun = run_on(&daemon, &workload);
+    let stats = daemon.stats();
+    assert_eq!(stats.crowd_tasks, 0, "{stats:?}");
+    assert_eq!(stats.reuse.forwarded, 0, "{stats:?}");
+    for (a, b) in scoped.jobs.iter().zip(&rerun) {
+        assert_eq!(verdict_surface(a), verdict_surface(b));
+    }
+    daemon.shutdown().expect("shutdown");
     let _ = fs::remove_dir_all(&dir);
 }
 
