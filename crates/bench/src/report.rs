@@ -72,8 +72,8 @@ pub fn bench_fleet_path() -> PathBuf {
 pub fn update_json_report(path: impl AsRef<Path>, key: &str, value: Value) -> io::Result<()> {
     let path = path.as_ref();
     let mut pairs: Vec<(String, Value)> = match fs::read_to_string(path) {
-        Ok(text) => match serde_json::from_str::<RawValue>(&text) {
-            Ok(RawValue(Value::Object(pairs))) => pairs,
+        Ok(text) => match serde_json::from_str::<Value>(&text) {
+            Ok(Value::Object(pairs)) => pairs,
             _ => Vec::new(),
         },
         Err(_) => Vec::new(),
@@ -85,8 +85,7 @@ pub fn update_json_report(path: impl AsRef<Path>, key: &str, value: Value) -> io
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    let rendered =
-        serde_json::to_string_pretty(&RawValue(Value::Object(pairs))).expect("report serializes");
+    let rendered = serde_json::to_string_pretty(&Value::Object(pairs)).expect("report serializes");
     fs::write(path, rendered + "\n")
 }
 
@@ -94,21 +93,6 @@ pub fn update_json_report(path: impl AsRef<Path>, key: &str, value: Value) -> io
 /// call sites stay readable without a macro.
 pub fn json_object(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// A raw [`Value`] viewed through the vendored serde traits.
-struct RawValue(Value);
-
-impl serde::Serialize for RawValue {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
-impl serde::Deserialize for RawValue {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Ok(RawValue(value.clone()))
-    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //!
 //! The ledger meters **logical** work: every question the algorithm asked
 //! and had answered, regardless of how the answer was produced. Answer
-//! *reuse* — [`crate::memo::KnowledgeSource`] answering a set query from
+//! *reuse* — [`crate::memo::SharedKnowledgeSource`] answering a set query from
 //! known facts, or forwarding only its unknown residual — happens inside
 //! the source, below the engine, so reports and outcomes are identical
 //! with and without reuse while the *crowd-side* spend (metered by

@@ -107,8 +107,7 @@ pub mod prelude {
     };
     pub use crate::ledger::{PricingModel, TaskLedger};
     pub use crate::memo::{
-        FactSink, FactSpill, KnowledgeSource, KnowledgeStore, MemoizedSource, ReuseStats,
-        SetResolution, SharedKnowledgeSource,
+        FactSink, FactSpill, KnowledgeStore, MemoizedSource, ReuseStats, SharedKnowledgeSource,
     };
     pub use crate::multiple::{
         multiple_coverage, multiple_coverage_par, GroupResult, IntraJobParallelism, MultipleConfig,

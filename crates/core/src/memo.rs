@@ -10,8 +10,8 @@
 //!   membership verdicts (learned from *no* set answers and *yes*
 //!   singletons), and whole set-query verdicts. Facts only accumulate; the
 //!   store never forgets.
-//! * [`KnowledgeSource`] / [`SharedKnowledgeSource`] — [`AnswerSource`]
-//!   wrappers that consult the store before every question. A set query is
+//! * [`SharedKnowledgeSource`] — the [`AnswerSource`] wrapper that
+//!   consults the store before every question. A set query is
 //!   **decomposed**: any known member answers it `true` outright; if every
 //!   object is a known non-member it is `false`; otherwise the query is
 //!   **narrowed** to the residual unknown objects and only that residual is
@@ -49,7 +49,7 @@ use crate::engine::{AnswerSource, BatchAnswerSource, ForkableSource, ObjectId};
 use crate::error::AskError;
 use crate::schema::Labels;
 use crate::target::Target;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,8 +87,8 @@ impl ReuseStats {
 }
 
 /// What the store can say about a set query before any crowd contact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SetResolution {
+#[derive(Debug)]
+enum SetResolution {
     /// The verdict is already implied by known facts.
     Known(bool),
     /// The query must be asked, but only for the residual unknown objects.
@@ -112,17 +112,21 @@ pub enum SetResolution {
 /// * **set verdicts** — whole `(objects, target) → bool` answers, kept so a
 ///   repeated query is free even when its objects are individually unknown.
 ///
-/// The store is plain data (no interior mutability); see [`KnowledgeSource`]
-/// for the single-owner wrapper and [`SharedKnowledgeSource`] for the
-/// platform-wide, thread-safe one.
-#[derive(Debug, Default, Clone, PartialEq)]
+/// The store is plain data (no interior mutability); [`SharedKnowledgeSource`]
+/// is the platform-wide, thread-safe wrapper that consults and fills it.
+///
+/// It is also the serialization surface of the persistence layer:
+/// snapshots, the `/store/export` response body and the `/store/import`
+/// request body all carry one `KnowledgeStore`. Maps serialize as pair
+/// arrays and membership sets as sorted id arrays, so the text is stable
+/// for a fixed fact base.
+#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KnowledgeStore {
     labels: HashMap<ObjectId, Labels>,
     members: HashMap<Target, HashSet<ObjectId>>,
     non_members: HashMap<Target, HashSet<ObjectId>>,
     // Nested per-target so the hot exact-verdict lookup borrows the query
-    // slice instead of allocating a (Vec, Target) key — resolve_set runs
-    // under the platform-wide lock in the shared source.
+    // slice instead of allocating a (Vec, Target) key.
     set_verdicts: HashMap<Target, HashMap<Vec<ObjectId>, bool>>,
     stats: ReuseStats,
 }
@@ -162,29 +166,20 @@ impl KnowledgeStore {
             .is_some_and(|s| s.contains(&object))
     }
 
-    /// Resolves a set query against the facts: a known verdict, or the
-    /// residual that still has to be asked. Does not update statistics —
-    /// the wrapping source meters what it actually does with the result.
-    pub fn resolve_set(&self, objects: &[ObjectId], target: &Target) -> SetResolution {
-        // An exact repeat is free regardless of per-object knowledge
-        // (allocation-free: the verdict map is keyed per target, then by
-        // the borrowed object slice).
-        if let Some(ans) = self.set_verdicts.get(target).and_then(|m| m.get(objects)) {
-            return SetResolution::Known(*ans);
-        }
-        if objects.iter().any(|o| self.is_known_member(*o, target)) {
-            return SetResolution::Known(true);
-        }
-        let residual: Vec<ObjectId> = objects
-            .iter()
+    /// The whole-query verdict cached for exactly `(objects, target)`.
+    fn set_verdict(&self, objects: &[ObjectId], target: &Target) -> Option<bool> {
+        self.set_verdicts
+            .get(target)
+            .and_then(|m| m.get(objects))
             .copied()
-            .filter(|o| !self.is_known_non_member(*o, target))
-            .collect();
-        if residual.is_empty() {
-            return SetResolution::Known(false);
-        }
-        let pruned = objects.len() - residual.len();
-        SetResolution::Ask { residual, pruned }
+    }
+
+    /// Caches a whole-query verdict under its original key.
+    fn record_set_verdict(&mut self, objects: Vec<ObjectId>, target: &Target, answer: bool) {
+        self.set_verdicts
+            .entry(target.clone())
+            .or_default()
+            .insert(objects, answer);
     }
 
     /// Records a delivered set answer: the verdict is cached under the
@@ -198,10 +193,7 @@ impl KnowledgeStore {
         target: &Target,
         answer: bool,
     ) {
-        self.set_verdicts
-            .entry(target.clone())
-            .or_default()
-            .insert(objects.to_vec(), answer);
+        self.record_set_verdict(objects.to_vec(), target, answer);
         if answer {
             if let [only] = residual {
                 self.members
@@ -338,63 +330,6 @@ impl KnowledgeStore {
     }
 }
 
-/// A `Target → object set` map as a pair array with the set flattened to a
-/// **sorted** id vector, so serialized stores are stable for a fixed fact
-/// base regardless of hash-set iteration order.
-fn object_sets_to_value(map: &HashMap<Target, HashSet<ObjectId>>) -> Value {
-    Value::Array(
-        map.iter()
-            .map(|(target, objects)| {
-                let mut sorted: Vec<ObjectId> = objects.iter().copied().collect();
-                sorted.sort_unstable();
-                Value::Array(vec![target.to_value(), sorted.to_value()])
-            })
-            .collect(),
-    )
-}
-
-fn object_sets_from_value(
-    value: &Value,
-) -> Result<HashMap<Target, HashSet<ObjectId>>, serde::Error> {
-    let pairs = Vec::<(Target, Vec<ObjectId>)>::from_value(value)?;
-    Ok(pairs
-        .into_iter()
-        .map(|(target, objects)| (target, objects.into_iter().collect()))
-        .collect())
-}
-
-/// The serialization surface of the persistence layer: snapshots, the
-/// `/store/export` response body and the `/store/import` request body all
-/// carry one `KnowledgeStore` in this shape. Hand-written because the
-/// membership sets serialize through sorted vectors (the vendored serde has
-/// no `HashSet` impl, and sorting keeps the output stable).
-impl Serialize for KnowledgeStore {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("labels".into(), self.labels.to_value()),
-            ("members".into(), object_sets_to_value(&self.members)),
-            (
-                "non_members".into(),
-                object_sets_to_value(&self.non_members),
-            ),
-            ("set_verdicts".into(), self.set_verdicts.to_value()),
-            ("stats".into(), self.stats.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for KnowledgeStore {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            labels: HashMap::from_value(value.get_field("labels")?)?,
-            members: object_sets_from_value(value.get_field("members")?)?,
-            non_members: object_sets_from_value(value.get_field("non_members")?)?,
-            set_verdicts: HashMap::from_value(value.get_field("set_verdicts")?)?,
-            stats: ReuseStats::from_value(value.get_field("stats")?)?,
-        })
-    }
-}
-
 /// An observer of **committed** facts, attached to a
 /// [`SharedKnowledgeSource`] via [`SharedKnowledgeSource::set_fact_sink`].
 ///
@@ -449,141 +384,12 @@ struct SpillHook {
     per_shard_high: usize,
 }
 
-/// A single-owner reuse wrapper: one engine, one store, no locking.
-///
-/// Consults a private [`KnowledgeStore`] before every question and absorbs
-/// every delivered answer. For a consistent source (see the module docs)
-/// the wrapped and unwrapped runs return identical answers; the wrapper only
-/// reduces how many questions reach the source.
-#[derive(Debug, Clone)]
-pub struct KnowledgeSource<S> {
-    inner: S,
-    store: KnowledgeStore,
-}
-
-impl<S> KnowledgeSource<S> {
-    /// Wraps a source with an empty fact base.
-    pub fn new(inner: S) -> Self {
-        Self {
-            inner,
-            store: KnowledgeStore::new(),
-        }
-    }
-
-    /// Wraps a source with an existing fact base (e.g. carried over from a
-    /// previous audit of the same dataset).
-    pub fn with_store(inner: S, store: KnowledgeStore) -> Self {
-        Self { inner, store }
-    }
-
-    /// Read access to the fact base.
-    pub fn store(&self) -> &KnowledgeStore {
-        &self.store
-    }
-
-    /// How questions were disposed of so far.
-    pub fn reuse_stats(&self) -> ReuseStats {
-        self.store.stats
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwraps into the inner source, discarding the facts.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: AnswerSource> AnswerSource for KnowledgeSource<S> {
-    fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
-        match self.store.resolve_set(objects, target) {
-            SetResolution::Known(ans) => {
-                self.store.stats.hits += 1;
-                Ok(ans)
-            }
-            SetResolution::Ask { residual, pruned } => {
-                // Only delivered answers are recorded: a refused question
-                // stays askable (e.g. once a budget is raised).
-                let ans = self.inner.try_answer_set(&residual, target)?;
-                self.store.stats.forwarded += 1;
-                if pruned > 0 {
-                    self.store.stats.narrowed += 1;
-                    self.store.stats.objects_pruned += pruned as u64;
-                }
-                self.store
-                    .record_set_answer(objects, &residual, target, ans);
-                Ok(ans)
-            }
-        }
-    }
-
-    fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
-        if let Some(labels) = self.store.label_of(object) {
-            self.store.stats.hits += 1;
-            return Ok(labels);
-        }
-        let labels = self.inner.try_answer_point_labels(object)?;
-        self.store.stats.forwarded += 1;
-        self.store.record_labels(object, labels);
-        Ok(labels)
-    }
-
-    fn try_answer_membership(
-        &mut self,
-        object: ObjectId,
-        target: &Target,
-    ) -> Result<bool, AskError> {
-        // Route through the label facts: a known label answers any
-        // membership question about the object for free, and a fresh label
-        // bought here narrows every future set query.
-        let labels = self.try_answer_point_labels(object)?;
-        Ok(target.matches(&labels))
-    }
-}
-
-impl<S: BatchAnswerSource> BatchAnswerSource for KnowledgeSource<S> {
-    fn try_answer_point_labels_batch(
-        &mut self,
-        objects: &[ObjectId],
-    ) -> Result<Vec<Labels>, AskError> {
-        let mut answers: Vec<Option<Labels>> = vec![None; objects.len()];
-        let mut unknown: Vec<(usize, ObjectId)> = Vec::new();
-        for (i, o) in objects.iter().enumerate() {
-            if let Some(l) = self.store.label_of(*o) {
-                self.store.stats.hits += 1;
-                answers[i] = Some(l);
-            } else if unknown.iter().any(|(_, u)| u == o) {
-                // A duplicate inside one batch: filled from the first copy.
-            } else {
-                unknown.push((i, *o));
-            }
-        }
-        if !unknown.is_empty() {
-            let ids: Vec<ObjectId> = unknown.iter().map(|(_, o)| *o).collect();
-            let fresh = self.inner.try_answer_point_labels_batch(&ids)?;
-            self.store.stats.forwarded += ids.len() as u64;
-            for ((i, o), l) in unknown.into_iter().zip(fresh) {
-                self.store.record_labels(o, l);
-                answers[i] = Some(l);
-            }
-        }
-        Ok(answers
-            .into_iter()
-            .zip(objects)
-            .map(|(l, o)| l.unwrap_or_else(|| self.store.label_of(*o).expect("duplicate filled")))
-            .collect())
-    }
-}
-
 /// A caching wrapper around an answer source — the **exact-match baseline**.
 ///
 /// Caches set-query and point-query results keyed by the literal question
 /// `(objects, target)` and answers repeats from the cache; it never
-/// decomposes or narrows a query. [`KnowledgeSource`] strictly subsumes it;
-/// this type is kept as the reference the knowledge layer is verified
+/// decomposes or narrows a query. [`SharedKnowledgeSource`] strictly subsumes
+/// it; this type is kept as the reference the knowledge layer is verified
 /// against (reuse must change crowd spend, never verdicts) and as the
 /// simplest possible answer cache for single-audit runs.
 #[derive(Debug, Clone)]
@@ -697,36 +503,21 @@ struct FactShardState {
     facts: KnowledgeStore,
     label_in_flight: HashSet<ObjectId>,
     /// Monotone per-shard clock driving the LRU spill policy: bumped on
-    /// every label commit, re-promotion and point lookup.
+    /// every label commit, re-promotion and point lookup while a spill is
+    /// attached.
     label_clock: u64,
     /// Last touch time per in-memory label (spilled labels have no entry).
     label_touch: HashMap<ObjectId, u64>,
 }
 
-impl FactShardState {
-    /// Marks `object`'s label as freshly used for the LRU spill policy.
-    fn touch(&mut self, object: ObjectId) {
-        self.label_clock += 1;
-        let now = self.label_clock;
-        self.label_touch.insert(object, now);
-    }
-}
-
 /// One stripe of the whole-query state: exact `(objects, target)` verdicts
-/// and the in-flight set coalescing concurrent identical set queries.
+/// and the in-flight set coalescing concurrent identical set queries. The
+/// embedded [`KnowledgeStore`] uses only its set-verdict map (object facts
+/// live in the fact shards).
 #[derive(Debug, Default)]
 struct SetStripeState {
-    verdicts: HashMap<Target, HashMap<Vec<ObjectId>, bool>>,
+    verdicts: KnowledgeStore,
     in_flight: HashSet<(Vec<ObjectId>, Target)>,
-}
-
-impl SetStripeState {
-    fn verdict(&self, objects: &[ObjectId], target: &Target) -> Option<bool> {
-        self.verdicts
-            .get(target)
-            .and_then(|m| m.get(objects))
-            .copied()
-    }
 }
 
 /// The platform-wide reuse tally, updated lock-free so no stripe becomes a
@@ -799,8 +590,17 @@ impl ShardedKnowledge {
         let hook = self.spill.get()?;
         let labels = hook.spill.recall(object)?;
         state.facts.labels.insert(object, labels);
-        state.touch(object);
+        self.touch(state, object);
         Some(labels)
+    }
+
+    /// Marks `object`'s label as freshly used for the LRU spill policy.
+    /// Only eviction reads the clock, so without a spill this is a no-op.
+    fn touch(&self, state: &mut FactShardState, object: ObjectId) {
+        if self.spill.get().is_some() {
+            state.label_clock += 1;
+            state.label_touch.insert(object, state.label_clock);
+        }
     }
 
     /// Evicts the coldest labels of one shard to the spill once the shard
@@ -928,35 +728,14 @@ impl ShardedKnowledge {
     }
 
     /// Merges every shard and stripe into one plain [`KnowledgeStore`].
+    /// Shards and stripes hold disjoint facts, so the fold loses nothing.
     fn snapshot(&self) -> KnowledgeStore {
         let mut store = KnowledgeStore::new();
         for shard in &self.fact_shards {
-            let state = shard.lock();
-            store.labels.extend(&state.facts.labels);
-            for (target, members) in &state.facts.members {
-                store
-                    .members
-                    .entry(target.clone())
-                    .or_default()
-                    .extend(members);
-            }
-            for (target, non_members) in &state.facts.non_members {
-                store
-                    .non_members
-                    .entry(target.clone())
-                    .or_default()
-                    .extend(non_members);
-            }
+            store.merge(&shard.lock().facts);
         }
         for stripe in &self.set_stripes {
-            let state = stripe.lock();
-            for (target, verdicts) in &state.verdicts {
-                store
-                    .set_verdicts
-                    .entry(target.clone())
-                    .or_default()
-                    .extend(verdicts.iter().map(|(k, v)| (k.clone(), *v)));
-            }
+            store.merge(&stripe.lock().verdicts);
         }
         // Spilled cold labels are part of the fact base: snapshots (and
         // therefore exports and persistence) must never lose them.
@@ -1187,12 +966,10 @@ impl<S> SharedKnowledgeSource<S> {
         for (target, verdicts) in &store.set_verdicts {
             for (objects, answer) in verdicts {
                 let stripe = self.shared.set_stripe(objects, target);
-                let mut state = stripe.lock();
-                state
+                stripe
+                    .lock()
                     .verdicts
-                    .entry(target.clone())
-                    .or_default()
-                    .insert(objects.clone(), *answer);
+                    .record_set_verdict(objects.clone(), target, *answer);
             }
         }
         // A seed can land an over-watermark label population in one go.
@@ -1272,7 +1049,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
             // Exact whole-query verdict first (one stripe lock)...
             {
                 let state = stripe.lock();
-                if let Some(ans) = state.verdict(objects, target) {
+                if let Some(ans) = state.verdicts.set_verdict(objects, target) {
                     self.record_hit();
                     return Ok(ans);
                 }
@@ -1288,7 +1065,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
                     let mut state = stripe.lock();
                     // A verdict may have been committed between the fact
                     // scan and this claim; re-check before claiming.
-                    if let Some(ans) = state.verdict(objects, target) {
+                    if let Some(ans) = state.verdicts.set_verdict(objects, target) {
                         self.record_hit();
                         return Ok(ans);
                     }
@@ -1323,9 +1100,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
             // budget abort must not poison another handle's identical ask.
             state
                 .verdicts
-                .entry(target.clone())
-                .or_default()
-                .insert(key.0.clone(), *ans);
+                .record_set_verdict(key.0.clone(), target, *ans);
         }
         drop(state);
         guard.disarm();
@@ -1346,7 +1121,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
         let mut state = shard.lock();
         loop {
             if let Some(l) = state.facts.label_of(object) {
-                state.touch(object);
+                shared.touch(&mut state, object);
                 drop(state);
                 self.record_hit();
                 return Ok(l);
@@ -1375,7 +1150,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
         state.label_in_flight.remove(&object);
         if let Ok(l) = &result {
             state.facts.record_labels(object, *l);
-            state.touch(object);
+            shared.touch(&mut state, object);
             shared.enforce_watermark(&mut state);
         }
         drop(state);
@@ -1395,7 +1170,9 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
         object: ObjectId,
         target: &Target,
     ) -> Result<bool, AskError> {
-        // Route through the label facts, as in [`KnowledgeSource`].
+        // Route through the label facts: a known label answers any
+        // membership question about the object for free, and a fresh label
+        // bought here narrows every future set query.
         let labels = self.try_answer_point_labels(object)?;
         Ok(target.matches(&labels))
     }
@@ -1423,7 +1200,7 @@ impl<S: BatchAnswerSource> BatchAnswerSource for SharedKnowledgeSource<S> {
         for (i, o) in objects.iter().enumerate() {
             let mut state = shared.fact_shard(*o).lock();
             if let Some(l) = state.facts.label_of(*o) {
-                state.touch(*o);
+                shared.touch(&mut state, *o);
                 hits += 1;
                 answers[i] = Some(l);
             } else if let Some(l) = shared.recall_spilled(&mut state, *o) {
@@ -1452,7 +1229,7 @@ impl<S: BatchAnswerSource> BatchAnswerSource for SharedKnowledgeSource<S> {
                 let mut state = shard.lock();
                 state.label_in_flight.remove(&o);
                 state.facts.record_labels(o, l);
-                state.touch(o);
+                shared.touch(&mut state, o);
                 shared.enforce_watermark(&mut state);
                 drop(state);
                 shard.ready.notify_all();
@@ -1585,7 +1362,7 @@ mod tests {
         let t = truth(20, 3); // members: 0, 1, 2
         let female = Target::group(Pattern::parse("1").unwrap());
         let ids = t.all_ids();
-        let mut src = KnowledgeSource::new(SpySource::new(&t));
+        let mut src = SharedKnowledgeSource::new(SpySource::new(&t));
 
         // Learn two labels via point queries: one member, one non-member.
         assert!(src.try_answer_membership(ObjectId(0), &female).unwrap());
@@ -1615,7 +1392,7 @@ mod tests {
         let t = truth(20, 3);
         let female = Target::group(Pattern::parse("1").unwrap());
         let ids = t.all_ids();
-        let mut src = KnowledgeSource::new(SpySource::new(&t));
+        let mut src = SharedKnowledgeSource::new(SpySource::new(&t));
 
         assert!(!src.try_answer_set(&ids[10..20], &female).unwrap());
         assert_eq!(src.inner().asked_sets.len(), 1);
@@ -1632,7 +1409,7 @@ mod tests {
             vec![ObjectId(8), ObjectId(9)],
             "known non-members 10, 11 must be pruned"
         );
-        assert_eq!(src.store().membership_facts(), 12);
+        assert_eq!(src.store_snapshot().membership_facts(), 12);
     }
 
     /// A `true` answer on a singleton set is a membership fact.
@@ -1640,13 +1417,13 @@ mod tests {
     fn positive_singleton_becomes_member_fact() {
         let t = truth(10, 2);
         let female = Target::group(Pattern::parse("1").unwrap());
-        let mut src = KnowledgeSource::new(SpySource::new(&t));
+        let mut src = SharedKnowledgeSource::new(SpySource::new(&t));
         assert!(src.try_answer_set(&[ObjectId(1)], &female).unwrap());
         // Every future set containing object 1 is free.
         let ids = t.all_ids();
         assert!(src.try_answer_set(&ids, &female).unwrap());
         assert_eq!(src.inner().asked_sets.len(), 1);
-        assert!(src.store().is_known_member(ObjectId(1), &female));
+        assert!(src.store_snapshot().is_known_member(ObjectId(1), &female));
     }
 
     /// Facts are per-target: knowledge about `female` must not leak into
@@ -1658,7 +1435,7 @@ mod tests {
         let female = Target::group(Pattern::parse("1").unwrap());
         let male = female.negated();
         let ids = t.all_ids();
-        let mut src = KnowledgeSource::new(SpySource::new(&t));
+        let mut src = SharedKnowledgeSource::new(SpySource::new(&t));
         // "no females in 5..10" says nothing about males there.
         assert!(!src.try_answer_set(&ids[5..], &female).unwrap());
         assert!(src.try_answer_set(&ids[5..], &male).unwrap());
@@ -1673,7 +1450,8 @@ mod tests {
         let pool = t.all_ids();
         let mut raw = Engine::with_point_batch(PerfectSource::new(&t), 50);
         let mut memo = Engine::with_point_batch(MemoizedSource::new(PerfectSource::new(&t)), 50);
-        let mut know = Engine::with_point_batch(KnowledgeSource::new(PerfectSource::new(&t)), 50);
+        let mut know =
+            Engine::with_point_batch(SharedKnowledgeSource::new(PerfectSource::new(&t)), 50);
         let a = group_coverage(&mut raw, &pool, &target, 50, 50, &DncConfig::default()).unwrap();
         let b = group_coverage(&mut memo, &pool, &target, 50, 50, &DncConfig::default()).unwrap();
         let c = group_coverage(&mut know, &pool, &target, 50, 50, &DncConfig::default()).unwrap();
@@ -1958,24 +1736,56 @@ mod tests {
         let t = truth(40, 8);
         let female = Target::group(Pattern::parse("1").unwrap());
         let ids = t.all_ids();
-        let mut src = KnowledgeSource::new(PerfectSource::new(&t));
+        let mut src = SharedKnowledgeSource::new(PerfectSource::new(&t));
         src.try_answer_point_labels(ObjectId(0)).unwrap();
         src.try_answer_point_labels(ObjectId(20)).unwrap();
         src.try_answer_set(&[ObjectId(3)], &female).unwrap();
         src.try_answer_set(&ids[10..30], &female).unwrap();
         src.try_answer_set(&ids[30..], &female.negated()).unwrap();
-        let store = src.store().clone();
+        let store = src.store_snapshot();
         assert!(!store.is_empty());
         let json = serde_json::to_string(&store).unwrap();
         let back: KnowledgeStore = serde_json::from_str(&json).unwrap();
         assert_eq!(back, store);
-        // And the round-tripped store resolves queries identically.
-        for chunk in ids.chunks(7) {
+        // And the round-tripped store answers queries identically: a source
+        // seeded from each gives the same answers, with zero forwards, to
+        // every question the original store can decide...
+        let seeded = |facts: &KnowledgeStore| {
+            let src = SharedKnowledgeSource::new(SpySource::new(&t));
+            src.seed_store(facts);
+            src
+        };
+        let (mut from_back, mut from_store) = (seeded(&back), seeded(&store));
+        for object in [ObjectId(0), ObjectId(20)] {
             assert_eq!(
-                back.resolve_set(chunk, &female),
-                store.resolve_set(chunk, &female)
+                from_back.try_answer_point_labels(object).unwrap(),
+                from_store.try_answer_point_labels(object).unwrap()
             );
         }
+        let decided: [(&[ObjectId], Target); 5] = [
+            (&[ObjectId(3)], female.clone()),
+            (&ids[10..30], female.clone()),
+            (&ids[30..], female.negated()),
+            (&ids[..7], female.clone()),
+            (&ids[12..19], female.clone()),
+        ];
+        for (objects, target) in &decided {
+            assert_eq!(
+                from_back.try_answer_set(objects, target).unwrap(),
+                from_store.try_answer_set(objects, target).unwrap()
+            );
+        }
+        assert_eq!(from_back.reuse_stats().forwarded, 0);
+        assert_eq!(from_store.reuse_stats().forwarded, 0);
+        // ...and narrows every other question to the same residual.
+        for chunk in ids.chunks(7) {
+            assert_eq!(
+                from_back.try_answer_set(chunk, &female).unwrap(),
+                from_store.try_answer_set(chunk, &female).unwrap()
+            );
+        }
+        assert_eq!(from_back.inner().asked_sets, from_store.inner().asked_sets);
+        assert_eq!(from_back.reuse_stats(), from_store.reuse_stats());
     }
 
     /// A sink observing an in-memory store that replays every observed
@@ -2042,14 +1852,14 @@ mod tests {
         let t = truth(30, 6);
         let female = Target::group(Pattern::parse("1").unwrap());
         let ids = t.all_ids();
-        let mut donor = KnowledgeSource::new(PerfectSource::new(&t));
+        let mut donor = SharedKnowledgeSource::new(PerfectSource::new(&t));
         for id in &ids {
             donor.try_answer_point_labels(*id).unwrap();
         }
         let root = SharedKnowledgeSource::new(PerfectSource::new(&t));
         let sink = Arc::new(ReplaySink::default());
         root.set_fact_sink(Arc::clone(&sink) as Arc<dyn FactSink>);
-        root.seed_store(donor.store());
+        root.seed_store(&donor.store_snapshot());
         assert!(sink.replayed.lock().unwrap().is_empty());
         let mut handle = root.clone();
         for chunk in ids.chunks(11) {
@@ -2156,20 +1966,86 @@ mod tests {
         assert!(in_memory <= 40 + 4, "in-memory labels: {in_memory}");
     }
 
+    /// Without a spill nothing reads the LRU clock, so label traffic must
+    /// not grow the per-label touch map.
+    #[test]
+    fn spill_less_store_keeps_no_touch_map() {
+        let t = truth(60, 10);
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let mut src = SharedKnowledgeSource::with_shards(PerfectSource::new(&t), 4);
+        for id in &ids[..20] {
+            src.try_answer_point_labels(*id).unwrap();
+        }
+        src.try_answer_point_labels_batch(&ids[10..40]).unwrap();
+        for id in &ids[..40] {
+            src.try_answer_membership(*id, &female).unwrap();
+        }
+        assert_eq!(src.store_snapshot().labels_known(), 40);
+        for shard in &src.shared.fact_shards {
+            let state = shard.lock();
+            assert!(state.label_touch.is_empty());
+            assert_eq!(state.label_clock, 0);
+        }
+    }
+
     #[test]
     fn store_counts_facts() {
         let t = truth(12, 2);
         let female = Target::group(Pattern::parse("1").unwrap());
         let ids = t.all_ids();
-        let mut src = KnowledgeSource::new(PerfectSource::new(&t));
+        let mut src = SharedKnowledgeSource::new(PerfectSource::new(&t));
         src.try_answer_point_labels(ObjectId(0)).unwrap();
         src.try_answer_set(&ids[6..], &female).unwrap();
-        let store = src.store();
+        let store = src.store_snapshot();
         assert_eq!(store.labels_known(), 1);
         assert_eq!(store.membership_facts(), 6);
         assert_eq!(store.set_verdicts_known(), 1);
         assert!(store.is_known_member(ObjectId(0), &female));
         assert!(store.is_known_non_member(ObjectId(0), &female.negated()));
         assert!(!store.is_known_member(ObjectId(1), &female));
+    }
+
+    /// The wire shape of a persisted or exported store, pinned byte for
+    /// byte: maps are pair arrays and every membership set is a sorted id
+    /// array, whatever order its ids were inserted in. One entry per map,
+    /// so the text does not depend on per-process hash order.
+    #[test]
+    fn store_json_shape_is_pinned() {
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let store = KnowledgeStore {
+            labels: HashMap::from([(ObjectId(4), Labels::single(1))]),
+            members: HashMap::from([(
+                female.clone(),
+                HashSet::from([ObjectId(9), ObjectId(2), ObjectId(7), ObjectId(5)]),
+            )]),
+            non_members: HashMap::from([(
+                female.negated(),
+                HashSet::from([ObjectId(8), ObjectId(1), ObjectId(3)]),
+            )]),
+            set_verdicts: HashMap::from([(
+                female,
+                HashMap::from([(vec![ObjectId(6), ObjectId(0)], false)]),
+            )]),
+            stats: ReuseStats {
+                hits: 3,
+                narrowed: 1,
+                forwarded: 2,
+                objects_pruned: 5,
+            },
+        };
+        let json = serde_json::to_string(&store).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"labels":[[4,{"len":1,"vals":[1,0,0,0,0,0,0,0]}]],"#,
+                r#""members":[[{"patterns":[{"len":1,"cells":[1,255,255,255,255,255,255,255]}],"negated":false},[2,5,7,9]]],"#,
+                r#""non_members":[[{"patterns":[{"len":1,"cells":[1,255,255,255,255,255,255,255]}],"negated":true},[1,3,8]]],"#,
+                r#""set_verdicts":[[{"patterns":[{"len":1,"cells":[1,255,255,255,255,255,255,255]}],"negated":false},[[[6,0],false]]]],"#,
+                r#""stats":{"hits":3,"narrowed":1,"forwarded":2,"objects_pruned":5}}"#,
+            )
+        );
+        let back: KnowledgeStore = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, store);
     }
 }

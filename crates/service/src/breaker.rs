@@ -132,6 +132,10 @@ impl Breaker {
     }
 }
 
+/// How long an open breaker fails its tenant's questions fast before it
+/// admits a half-open probe.
+pub(crate) const BREAKER_COOLDOWN: Duration = Duration::from_millis(500);
+
 /// The shared per-tenant breaker map: the dispatcher records outcomes,
 /// the daemon reads states for `/readyz` and the breaker-state gauges.
 /// Cloning shares the registry.

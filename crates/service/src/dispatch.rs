@@ -28,9 +28,10 @@
 //! questions open the circuit, after which that tenant's questions fail
 //! fast until the cooldown's half-open probe succeeds.
 
-use crate::breaker::BreakerRegistry;
+use crate::breaker::{BreakerRegistry, BREAKER_COOLDOWN};
 use coverage_core::engine::{AnswerSource, BatchAnswerSource, ObjectId};
 use coverage_core::error::AskError;
+use coverage_core::fingerprint::fnv1a;
 use coverage_core::schema::Labels;
 use coverage_core::target::Target;
 use serde::{Deserialize, Serialize};
@@ -74,17 +75,14 @@ pub fn backoff_delay(policy: &RetryPolicy, attempt: u32, salt: u64) -> Duration 
     let base_ms = policy.base.as_millis() as u64;
     let exp = base_ms.saturating_mul(1 << attempt.saturating_sub(1).min(10));
     let jitter_span = base_ms / 2 + 1;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in policy
-        .jitter_seed
-        .to_le_bytes()
-        .into_iter()
-        .chain(salt.to_le_bytes())
-        .chain(attempt.to_le_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = fnv1a(
+        policy
+            .jitter_seed
+            .to_le_bytes()
+            .into_iter()
+            .chain(salt.to_le_bytes())
+            .chain(attempt.to_le_bytes()),
+    );
     Duration::from_millis(exp + h % jitter_span)
 }
 
@@ -142,7 +140,7 @@ impl Default for DispatcherConfig {
             round_latency: Duration::ZERO,
             telemetry: crate::telemetry::Telemetry::disabled(),
             retry: RetryPolicy::default(),
-            breakers: BreakerRegistry::new(8, Duration::from_millis(500)),
+            breakers: BreakerRegistry::new(8, BREAKER_COOLDOWN),
         }
     }
 }
@@ -896,6 +894,10 @@ mod tests {
         let first: Vec<Duration> = (1..6).map(|a| backoff_delay(&policy, a, 7)).collect();
         let second: Vec<Duration> = (1..6).map(|a| backoff_delay(&policy, a, 7)).collect();
         assert_eq!(first, second, "same seeds, same schedule");
+        // Pinned from the schedule's original definition: any rewrite of
+        // the jitter hash must reproduce these exactly.
+        assert_eq!(backoff_delay(&policy, 1, 7), Duration::from_millis(11));
+        assert_eq!(backoff_delay(&policy, 4, 7), Duration::from_millis(80));
         for (a, pair) in first.windows(2).enumerate() {
             assert!(
                 pair[1] > pair[0],

@@ -19,7 +19,7 @@
 //! | `GET /trace/{id}`  | —              | `200` `{"id","events"}` timeline; `404` unknown id  |
 //! | `GET /events?since=N` | —           | `200` `{"next","events"}` incremental trace drain   |
 //! | `GET /store/export` | —             | `200` the whole fact base as one `KnowledgeStore`   |
-//! | `POST /store/import`| `KnowledgeStore` | `200` `{"labels","membership","set_verdicts"}`; `503` shutting down |
+//! | `POST /store/import`| `KnowledgeStore` | `200` `{"labels","membership","set_verdicts"}`; `400` invalid knowledge store; `503` shutting down |
 //! | `POST /fleet/delta`| [`FleetDelta`](crate::fleet::FleetDelta) | `200` `{"from","facts"}` anti-entropy receipt; `400` malformed; `503` shutting down |
 //! | `GET /healthz`     | —              | `200` `{"status":"ok"}` — liveness, always           |
 //! | `GET /readyz`      | —              | `200`/`503` [`Readiness`](crate::Readiness) body — dispatcher alive, persistence healthy, breaker + fleet-peer states |
@@ -1309,7 +1309,7 @@ fn encode_response(code: u16, body: Body, retry_after: Option<u64>, keep: bool) 
     let (content_type, body) = match body {
         Body::Json(value) => (
             "application/json",
-            serde_json::to_string_pretty(&Raw(value)).expect("reply serializes"),
+            serde_json::to_string_pretty(&value).expect("reply serializes"),
         ),
         // The Prometheus text exposition format, version 0.0.4.
         Body::Text(text) => ("text/plain; version=0.0.4", text),
@@ -1326,15 +1326,6 @@ fn encode_response(code: u16, body: Body, retry_after: Option<u64>, keep: bool) 
     let mut reply = head.into_bytes();
     reply.extend_from_slice(body.as_bytes());
     reply
-}
-
-/// A raw [`Value`] viewed through the vendored serde traits.
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
 }
 
 #[cfg(test)]

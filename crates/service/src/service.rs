@@ -303,7 +303,10 @@ impl ServiceConfig {
 
     /// A fresh per-tenant breaker registry at this config's threshold.
     pub(crate) fn build_breakers(&self) -> crate::breaker::BreakerRegistry {
-        crate::breaker::BreakerRegistry::new(self.breaker_threshold, Duration::from_millis(500))
+        crate::breaker::BreakerRegistry::new(
+            self.breaker_threshold,
+            crate::breaker::BREAKER_COOLDOWN,
+        )
     }
 
     /// The telemetry plane this config asks for: a live registry + trace

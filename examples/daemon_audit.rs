@@ -69,9 +69,7 @@ fn submit(addr: SocketAddr, spec: &JobSpec) -> u64 {
     let body = serde_json::to_string(spec).expect("spec serializes");
     let (code, reply) = http_request(addr, "POST", "/jobs", Some(&body)).expect("POST /jobs");
     assert_eq!(code, 201, "submission must be accepted: {reply}");
-    let value: Value = serde_json::from_str::<RawValue>(&reply)
-        .expect("reply parses")
-        .0;
+    let value: Value = serde_json::from_str(&reply).expect("reply parses");
     match value.get("id") {
         Some(Value::UInt(id)) => *id,
         other => panic!("no id in submission reply: {other:?}"),
@@ -99,15 +97,6 @@ fn normalized(report: &JobReport) -> String {
     report.wall_ms = 0;
     report.phases_ms = coverage_service::PhaseDurations::default();
     report.to_json()
-}
-
-/// A raw [`Value`] viewed through the vendored serde traits.
-struct RawValue(Value);
-
-impl serde::Deserialize for RawValue {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Ok(RawValue(value.clone()))
-    }
 }
 
 fn main() {

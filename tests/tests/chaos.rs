@@ -103,15 +103,6 @@ fn config(workers: usize) -> ServiceConfig {
     }
 }
 
-/// Adapter so a bare [`Value`] can go through `serde_json::to_string`.
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 /// Serializes a report with the fields chaos is *allowed* to differ on
 /// dropped: `wall_ms`/`phases_ms` always (retries burn real time), and
 /// under real concurrency additionally `crowd_tasks`/`reuse`, which are
@@ -128,7 +119,7 @@ fn normalized(report: &coverage_service::JobReport, workers: usize) -> String {
                 && (workers == 1 || (key != "crowd_tasks" && key != "reuse"))
         })
         .collect();
-    serde_json::to_string(&Raw(Value::Object(stripped))).unwrap()
+    serde_json::to_string(&Value::Object(stripped)).unwrap()
 }
 
 fn run(

@@ -140,12 +140,6 @@ fn full_surface(report: &JobReport) -> String {
 /// ordered arrays (label vectors, object lists) contain no pairs and are
 /// left alone.
 fn store_fingerprint(store: &KnowledgeStore) -> String {
-    struct Raw(Value);
-    impl Serialize for Raw {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
     fn canonical(value: Value) -> Value {
         match value {
             Value::Object(pairs) => {
@@ -158,7 +152,7 @@ fn store_fingerprint(store: &KnowledgeStore) -> String {
                         .iter()
                         .all(|item| matches!(item, Value::Array(pair) if pair.len() == 2));
                 if all_pairs {
-                    items.sort_by_key(|item| serde_json::to_string(&Raw(item.clone())).unwrap());
+                    items.sort_by_key(|item| serde_json::to_string(item).unwrap());
                 }
                 Value::Array(items)
             }
@@ -173,7 +167,7 @@ fn store_fingerprint(store: &KnowledgeStore) -> String {
         .filter(|(k, _)| k != "stats")
         .map(|(k, v)| (k, canonical(v)))
         .collect();
-    serde_json::to_string(&Raw(Value::Object(facts))).unwrap()
+    serde_json::to_string(&Value::Object(facts)).unwrap()
 }
 
 /// Runs the workload on a fresh daemon over `truth` and returns the

@@ -1,13 +1,13 @@
 //! Reuse equivalence: the object-level `KnowledgeStore` must never change
 //! an audit verdict — only reduce crowd spend.
 //!
-//! The contract under test (ISSUE 3): for a consistent answer source, a
-//! full audit run behind a [`KnowledgeSource`] produces verdicts, counts,
+//! The contract under test: for a consistent answer source, a full audit
+//! run behind a [`SharedKnowledgeSource`] produces verdicts, counts,
 //! witnesses and engine ledgers **byte-identical** to the same audit behind
 //! the exact-match [`MemoizedSource`], while the number of questions that
-//! reach the source only ever drops. A second battery checks the shared,
-//! concurrent variant: jobs multiplexed over one [`SharedKnowledgeSource`]
-//! stay byte-identical to their serial runs under any interleaving.
+//! reach the source only ever drops. A second battery checks concurrent
+//! use: jobs multiplexed over one [`SharedKnowledgeSource`] stay
+//! byte-identical to their serial runs under any interleaving.
 
 use coverage_core::classifier::{classifier_coverage, ClassifierConfig};
 use coverage_core::multiple::{multiple_coverage, MultipleConfig};
@@ -138,7 +138,7 @@ proptest! {
         let memo_outcomes = full_audit(&mut memo, &truth, tau, n, seed);
 
         let mut know = Engine::with_point_batch(
-            KnowledgeSource::new(PerfectSource::new(&truth)), n);
+            SharedKnowledgeSource::new(PerfectSource::new(&truth)), n);
         let know_outcomes = full_audit(&mut know, &truth, tau, n, seed);
 
         // Byte-identical verdicts for every driver...

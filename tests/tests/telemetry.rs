@@ -85,15 +85,6 @@ fn workload(data: &dataset_sim::Dataset, tau: usize) -> Vec<JobSpec> {
     ]
 }
 
-/// Adapter so a bare [`Value`] can go through `serde_json::to_string`.
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 /// Serializes a report with the fields that telemetry is *allowed* to
 /// differ on dropped. `wall_ms`/`phases_ms` are wall-clock measurements
 /// and always excluded. With more than one worker, `crowd_tasks` and
@@ -113,7 +104,7 @@ fn normalized(report: &coverage_service::JobReport, workers: usize) -> String {
                 && (workers == 1 || (key != "crowd_tasks" && key != "reuse"))
         })
         .collect();
-    serde_json::to_string(&Raw(Value::Object(stripped))).unwrap()
+    serde_json::to_string(&Value::Object(stripped)).unwrap()
 }
 
 fn run(seed: u64, tau: usize, workers: usize, telemetry: bool) -> Vec<String> {
