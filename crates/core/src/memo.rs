@@ -372,8 +372,11 @@ pub trait FactSpill: Send + Sync + std::fmt::Debug {
     /// Looks up (and removes) a previously spilled label, if present.
     fn recall(&self, object: ObjectId) -> Option<Labels>;
 
-    /// Every label currently spilled, for snapshots and exports.
-    fn contents(&self) -> Vec<(ObjectId, Labels)>;
+    /// Every spilled label whose object satisfies `keep`, for snapshots
+    /// and exports. The store asks for one fact shard's share at a time,
+    /// under that shard's lock, so no label can move between memory and
+    /// the spill while it is being read.
+    fn contents(&self, keep: &dyn Fn(ObjectId) -> bool) -> Vec<(ObjectId, Labels)>;
 }
 
 /// A spill implementation plus the per-shard eviction threshold derived
@@ -727,25 +730,50 @@ impl ShardedKnowledge {
         }
     }
 
-    /// Merges every shard and stripe into one plain [`KnowledgeStore`].
-    /// Shards and stripes hold disjoint facts, so the fold loses nothing.
-    fn snapshot(&self) -> KnowledgeStore {
-        let mut store = KnowledgeStore::new();
-        for shard in &self.fact_shards {
-            store.merge(&shard.lock().facts);
+    /// Hands the fact base to `f` one part at a time: first a head part
+    /// holding only the [`ReuseStats`], then one part per fact shard and
+    /// one per set stripe. Each part is cloned under its own lock and
+    /// handed over after the lock is released, so at most one shard is
+    /// copied at once. A fact shard's part includes its spilled cold
+    /// labels, read under the same lock: a label moves between memory and
+    /// the spill only under its shard's lock, so it is seen exactly once.
+    fn for_each_part(&self, mut f: impl FnMut(&KnowledgeStore)) {
+        f(&KnowledgeStore {
+            stats: self.stats.snapshot(),
+            ..KnowledgeStore::default()
+        });
+        let shards = self.fact_shards.len();
+        for (shard_index, shard) in self.fact_shards.iter().enumerate() {
+            let part = {
+                let state = shard.lock();
+                let mut part = state.facts.clone();
+                if let Some(hook) = self.spill.get() {
+                    let in_shard = |object: ObjectId| object.index() % shards == shard_index;
+                    for (object, labels) in hook.spill.contents(&in_shard) {
+                        part.labels.entry(object).or_insert(labels);
+                    }
+                }
+                part
+            };
+            f(&part);
         }
         for stripe in &self.set_stripes {
-            store.merge(&stripe.lock().verdicts);
+            let part = stripe.lock().verdicts.clone();
+            f(&part);
         }
-        // Spilled cold labels are part of the fact base: snapshots (and
-        // therefore exports and persistence) must never lose them.
-        if let Some(hook) = self.spill.get() {
-            for (object, labels) in hook.spill.contents() {
-                store.labels.entry(object).or_insert(labels);
-            }
-        }
-        store.stats = self.stats.snapshot();
-        store
+    }
+
+    /// Merges every part into one plain [`KnowledgeStore`]. Parts hold
+    /// disjoint facts, so the fold loses nothing, and folding from the
+    /// head part keeps its stats ([`KnowledgeStore::merge`] never touches
+    /// them).
+    fn snapshot(&self) -> KnowledgeStore {
+        let mut store: Option<KnowledgeStore> = None;
+        self.for_each_part(|part| match &mut store {
+            Some(store) => store.merge(part),
+            None => store = Some(part.clone()),
+        });
+        store.expect("the head part is always yielded")
     }
 }
 
@@ -902,6 +930,18 @@ impl<S> SharedKnowledgeSource<S> {
     /// (spilled cold labels included).
     pub fn store_snapshot(&self) -> KnowledgeStore {
         self.shared.snapshot()
+    }
+
+    /// Hands the shared fact base to `f` in disjoint parts whose
+    /// [`KnowledgeStore::merge`] fold, started from the first part, equals
+    /// [`store_snapshot`](Self::store_snapshot): a head part holding the
+    /// [`ReuseStats`], then one part per fact shard (spilled cold labels
+    /// included) and one per set stripe. Each part is cloned under its own
+    /// stripe lock and handed to `f` after that lock is released, so a
+    /// caller can persist a store of any size while holding only one
+    /// shard's copy in memory.
+    pub fn for_each_store_part(&self, f: impl FnMut(&KnowledgeStore)) {
+        self.shared.for_each_part(f);
     }
 
     /// Attaches an observer of committed facts (e.g. a write-ahead log).
@@ -1896,11 +1936,12 @@ mod tests {
             found
         }
 
-        fn contents(&self) -> Vec<(ObjectId, Labels)> {
+        fn contents(&self, keep: &dyn Fn(ObjectId) -> bool) -> Vec<(ObjectId, Labels)> {
             self.cold
                 .lock()
                 .unwrap()
                 .iter()
+                .filter(|(o, _)| keep(**o))
                 .map(|(o, l)| (*o, *l))
                 .collect()
         }
@@ -1964,6 +2005,52 @@ mod tests {
         }
         let in_memory = ids.len() - spill.cold.lock().unwrap().len();
         assert!(in_memory <= 40 + 4, "in-memory labels: {in_memory}");
+    }
+
+    /// The parts a snapshot writer streams fold back to the whole store:
+    /// with labels spilled and non-zero stats, merging every part into the
+    /// first equals `store_snapshot()` and the spill-less twin's store,
+    /// and the parts hold disjoint facts.
+    #[test]
+    fn store_parts_fold_to_the_snapshot() {
+        let t = truth(200, 25);
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let run = |spill: Option<Arc<MapSpill>>| {
+            let src = SharedKnowledgeSource::with_shards(PerfectSource::new(&t), 4);
+            if let Some(spill) = spill {
+                src.set_fact_spill(spill as Arc<dyn FactSpill>, 40);
+            }
+            let mut handle = src.clone();
+            for id in &ids[..120] {
+                handle.try_answer_point_labels(*id).unwrap();
+            }
+            // Asked twice: the second pass is all hits.
+            for _ in 0..2 {
+                for chunk in ids[100..].chunks(9) {
+                    handle.try_answer_set(chunk, &female).unwrap();
+                }
+            }
+            src
+        };
+        let spill = Arc::new(MapSpill::default());
+        let src = run(Some(Arc::clone(&spill)));
+        assert!(!spill.cold.lock().unwrap().is_empty(), "labels must spill");
+
+        let mut parts = Vec::new();
+        src.for_each_store_part(|part| parts.push(part.clone()));
+        assert_eq!(parts.len(), 1 + 2 * src.shard_count());
+        assert!(parts[0].is_empty(), "the head part carries only stats");
+        let mut folded = parts[0].clone();
+        for part in &parts[1..] {
+            folded.merge(part);
+        }
+        assert!(folded.stats().hits > 0 && folded.stats().forwarded > 0);
+        assert_eq!(folded, src.store_snapshot());
+        assert_eq!(folded, run(None).store_snapshot());
+        assert_eq!(folded.labels_known(), 120);
+        let summed: usize = parts.iter().map(KnowledgeStore::fact_count).sum();
+        assert_eq!(summed, folded.fact_count(), "parts are disjoint");
     }
 
     /// Without a spill nothing reads the LRU clock, so label traffic must

@@ -17,18 +17,41 @@
 //!   as one length-prefixed, CRC-checksummed frame and flushed. A torn
 //!   tail — the daemon was killed mid-write — fails the checksum and is
 //!   truncated cleanly on the next open; every frame before it replays.
-//! * **Snapshots** (`snapshot-<gen>.json`) — periodically (every
-//!   [`snapshot_every`](crate::ServiceConfig::snapshot_every) WAL records,
-//!   cut at job boundaries, plus once at shutdown) the whole store is
-//!   compacted to a JSON snapshot written tmp-then-rename, and the WAL
-//!   rotates to a fresh generation. Startup recovery = newest parseable
-//!   snapshot + replay of its same-generation WAL; older generations are
-//!   deleted.
+//! * **Snapshots** (`snapshot-<gen>.json`) — on the cadence below, the
+//!   store is compacted to a snapshot written tmp-then-rename, and the WAL
+//!   rotates to a fresh generation. Startup recovery = newest readable snapshot + replay of
+//!   its same-generation WAL; older generations are deleted.
 //! * **Spill segment** (`spill.seg`) — cold per-object label facts evicted
 //!   by the store's LRU watermark land here (same frame format) and are
 //!   re-promoted on touch. The segment is scratch, not a recovery source:
 //!   every spilled fact is already in the snapshot/WAL, so a stale segment
 //!   is discarded on open.
+//!
+//! **Cadence.** A snapshot is cut at a job boundary once the WAL holds
+//! `max(snapshot_every, F)` records, where `F` is the fact count of the
+//! last snapshot (at open: of the recovered store), plus once at
+//! shutdown. [`snapshot_every`](crate::ServiceConfig::snapshot_every) is
+//! only the floor. This is the rule Redis uses to rewrite its append-only
+//! file: each cut costs O(store), but the next one waits until the log
+//! has grown by as much again, so total compaction work is O(1) amortized
+//! per logged fact instead of growing with the square of the store.
+//! It also bounds recovery: the WAL replayed at open holds at most
+//! `max(snapshot_every, F)` records plus the commits of the jobs running
+//! when it crossed that line, so restart time stays O(store).
+//!
+//! **Snapshot format.** A snapshot is a sequence of frames in the WAL's
+//! own format, each carrying one part of the store as
+//! [`KnowledgeStore`] JSON: a head part with the reuse stats, then one
+//! part per fact shard and per set stripe
+//! ([`SharedKnowledgeSource::for_each_store_part`]). A cut therefore
+//! holds one shard's copy in memory at a time, never the whole store as
+//! one JSON tree. Recovery accepts a framed snapshot only when the whole
+//! file is valid frames, at least one, and folds
+//! [`KnowledgeStore::merge`] over the parts from the head. A file that
+//! is not framed but starts with `{` is a whole-store JSON snapshot from
+//! an older build and is read as one, so existing data directories keep
+//! their paid facts. Frames are tried first: a framed file starts with a
+//! payload length, whose low byte can happen to be `{`.
 //!
 //! The durability boundary: a fact is crash-safe once its WAL frame is
 //! flushed (OS page cache); it is power-loss-safe once the next snapshot
@@ -44,7 +67,7 @@ use coverage_core::prelude::{Labels, ObjectId, Target};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -184,6 +207,29 @@ impl Deserialize for WalRecord {
     }
 }
 
+/// Reads one snapshot file: a framed snapshot when the whole file is valid
+/// frames, else a whole-store JSON snapshot from an older build (see the
+/// [module docs](self)). `None` when it is neither, so recovery falls back
+/// to the next older generation.
+fn read_snapshot(path: &Path) -> Option<KnowledgeStore> {
+    let bytes = fs::read(path).ok()?;
+    let (payloads, valid_len) = read_frames(&bytes);
+    if !payloads.is_empty() && valid_len == bytes.len() {
+        let mut parts = payloads.into_iter().map(|payload| {
+            serde_json::from_str::<KnowledgeStore>(std::str::from_utf8(payload).ok()?).ok()
+        });
+        let mut store = parts.next()??;
+        for part in parts {
+            store.merge(&part?);
+        }
+        return Some(store);
+    }
+    if bytes.first() == Some(&b'{') {
+        return serde_json::from_str(std::str::from_utf8(&bytes).ok()?).ok();
+    }
+    None
+}
+
 fn snapshot_path(dir: &Path, generation: u64) -> PathBuf {
     dir.join(format!("snapshot-{generation}.json"))
 }
@@ -296,9 +342,10 @@ struct WalWriter {
 }
 
 /// The daemon's handle on its `data_dir`: the open WAL, the current
-/// generation, and the snapshot cadence. Doubles as the [`FactSink`] the
-/// daemon attaches to its knowledge store, so every committed fact is
-/// framed, appended and flushed before the next question is asked.
+/// generation, and the snapshot cadence (see the [module docs](self)).
+/// Doubles as the [`FactSink`] the daemon attaches to its knowledge store,
+/// so every committed fact is framed, appended and flushed before the
+/// next question is asked.
 ///
 /// All methods take `&self`; the WAL writer is internally locked. See the
 /// [module docs](self) for the file layout and the durability boundary.
@@ -309,6 +356,9 @@ pub struct Persistence {
     /// WAL records appended since the last rotation — read lock-free by
     /// [`Persistence::snapshot_due`] on the worker hot path.
     records_since_snapshot: AtomicU64,
+    /// Facts in the last snapshot cut (at open: in the recovered store) —
+    /// the geometric part of the cadence.
+    facts_in_last_snapshot: AtomicU64,
     writer: Mutex<WalWriter>,
     telemetry: Telemetry,
     /// Flipped (never cleared) by the first swallowed I/O error on any
@@ -345,10 +395,7 @@ impl Persistence {
         let mut generation = 0;
         let mut store = KnowledgeStore::default();
         for candidate in snapshot_gens {
-            let Ok(text) = fs::read_to_string(snapshot_path(data_dir, candidate)) else {
-                continue;
-            };
-            if let Ok(snapshot) = serde_json::from_str::<KnowledgeStore>(&text) {
+            if let Some(snapshot) = read_snapshot(&snapshot_path(data_dir, candidate)) {
                 generation = candidate;
                 store = snapshot;
                 break;
@@ -393,11 +440,13 @@ impl Persistence {
         }
 
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        telemetry.record_recovered_facts(fact_count(&store));
+        let recovered = fact_count(&store);
+        telemetry.record_recovered_facts(recovered);
         let persistence = Self {
             data_dir: data_dir.to_path_buf(),
             snapshot_every,
             records_since_snapshot: AtomicU64::new(replayed),
+            facts_in_last_snapshot: AtomicU64::new(recovered),
             writer: Mutex::new(WalWriter { file, generation }),
             telemetry,
             degraded: AtomicBool::new(false),
@@ -462,10 +511,14 @@ impl Persistence {
         }
     }
 
-    /// Has the WAL grown past the snapshot cadence? Lock-free — the
-    /// workers poll this at every job boundary.
+    /// Has the WAL grown past the snapshot cadence, i.e. does it hold at
+    /// least `max(snapshot_every, facts in the last snapshot)` records?
+    /// Lock-free — the workers poll this at every job boundary.
     pub fn snapshot_due(&self) -> bool {
-        self.records_since_snapshot.load(Ordering::Relaxed) >= self.snapshot_every
+        let threshold = self
+            .snapshot_every
+            .max(self.facts_in_last_snapshot.load(Ordering::Relaxed));
+        self.records_since_snapshot.load(Ordering::Relaxed) >= threshold
     }
 
     /// Cuts a snapshot and rotates the WAL if the cadence says so.
@@ -476,9 +529,11 @@ impl Persistence {
     }
 
     /// Cuts a compacted snapshot of the store and rotates the WAL to a
-    /// fresh generation, deleting the old one.
+    /// fresh generation, deleting the old one. The store is written part
+    /// by part as frames (see the [module docs](self)), so the cut holds
+    /// one shard's copy in memory at a time.
     ///
-    /// Ordering is what makes this safe: the store snapshot is read
+    /// Ordering is what makes this safe: the store parts are read
     /// *while holding the WAL writer lock*, and a fact always reaches the
     /// store before its WAL append. So any record framed into the old
     /// (about-to-be-deleted) WAL is already inside the snapshot, and any
@@ -501,15 +556,23 @@ impl Persistence {
             return Err(DiskFaults::injected_error("snapshot write"));
         }
         let mut writer = lock(&self.writer);
-        let store = memo_root.store_snapshot();
         let next = writer.generation + 1;
 
         let final_path = snapshot_path(&self.data_dir, next);
         let tmp_path = final_path.with_extension("json.tmp");
-        let text = serde_json::to_string(&store)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let mut tmp = File::create(&tmp_path)?;
-        tmp.write_all(text.as_bytes())?;
+        let mut tmp = BufWriter::new(File::create(&tmp_path)?);
+        let mut facts = 0;
+        let mut written = Ok(());
+        memo_root.for_each_store_part(|part| {
+            if written.is_ok() {
+                facts += fact_count(part);
+                written = serde_json::to_string(part)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+                    .and_then(|text| tmp.write_all(&frame(text.as_bytes())));
+            }
+        });
+        written?;
+        let tmp = tmp.into_inner().map_err(io::IntoInnerError::into_error)?;
         tmp.sync_all()?;
         fs::rename(&tmp_path, &final_path)?;
 
@@ -522,6 +585,7 @@ impl Persistence {
         writer.file = new_wal;
         writer.generation = next;
         self.records_since_snapshot.store(0, Ordering::Relaxed);
+        self.facts_in_last_snapshot.store(facts, Ordering::Relaxed);
         drop(writer);
 
         let _ = fs::remove_file(snapshot_path(&self.data_dir, old_generation));
@@ -701,9 +765,14 @@ impl FactSpill for SpillFile {
         fact.map(|(_, labels)| labels)
     }
 
-    fn contents(&self) -> Vec<(ObjectId, Labels)> {
+    fn contents(&self, keep: &dyn Fn(ObjectId) -> bool) -> Vec<(ObjectId, Labels)> {
         let mut state = lock(&self.state);
-        let slots: Vec<SpillSlot> = state.index.values().copied().collect();
+        let slots: Vec<SpillSlot> = state
+            .index
+            .iter()
+            .filter(|(object, _)| keep(**object))
+            .map(|(_, slot)| *slot)
+            .collect();
         slots
             .into_iter()
             .filter_map(|slot| Self::read_slot(&mut state, slot))
@@ -851,6 +920,155 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Logs `n` label facts the live way (through the sink), for cadence
+    /// tests that only count records.
+    fn log_labels(persistence: &Persistence, first: u32, n: u32) {
+        for i in first..first + n {
+            persistence.on_labels(ObjectId(i), Labels::single(0));
+        }
+    }
+
+    /// The geometric cadence: after a cut of F facts, no snapshot is due
+    /// until the WAL holds `max(snapshot_every, F)` records — and a reopen
+    /// takes F from the recovered store.
+    #[test]
+    fn cadence_waits_for_as_many_records_as_the_last_snapshot_held_facts() {
+        let dir = dir("cadence");
+        let memo_root: SharedKnowledgeSource<()> = SharedKnowledgeSource::with_shards((), 4);
+        {
+            let (persistence, _) = Persistence::open(&dir, 4, Telemetry::disabled()).unwrap();
+            // An empty store: the floor binds.
+            log_labels(&persistence, 100, 3);
+            assert!(!persistence.snapshot_due());
+            log_labels(&persistence, 103, 1);
+            assert!(persistence.snapshot_due());
+
+            let mut seed = KnowledgeStore::default();
+            for i in 0..10 {
+                seed.record_labels(ObjectId(i), Labels::single(1));
+            }
+            memo_root.seed_store(&seed);
+            persistence.snapshot(&memo_root).unwrap();
+            // F = 10 > floor: ten records, not four.
+            log_labels(&persistence, 200, 9);
+            assert!(!persistence.snapshot_due());
+            log_labels(&persistence, 209, 1);
+            assert!(persistence.snapshot_due());
+        }
+        // Reopen: 10 snapshot facts + 10 replayed = F of 20, with the 10
+        // replayed records already counted.
+        let (persistence, store) = Persistence::open(&dir, 4, Telemetry::disabled()).unwrap();
+        assert_eq!(store.labels_known(), 20);
+        assert!(!persistence.snapshot_due());
+        log_labels(&persistence, 300, 9);
+        assert!(!persistence.snapshot_due());
+        log_labels(&persistence, 309, 1);
+        assert!(persistence.snapshot_due());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A whole-store JSON snapshot written by an older build, next to an
+    /// empty WAL, still recovers exactly the store it holds.
+    #[test]
+    fn legacy_whole_store_snapshot_still_recovers() {
+        let dir = dir("legacy");
+        fs::create_dir_all(&dir).unwrap();
+        let mut store = KnowledgeStore::default();
+        store.record_labels(ObjectId(3), Labels::single(1));
+        let pair = [ObjectId(4), ObjectId(5)];
+        store.record_set_answer(&pair, &pair, &female(), false);
+        store.record_set_answer(&[ObjectId(6)], &[ObjectId(6)], &female(), true);
+        fs::write(
+            snapshot_path(&dir, 1),
+            serde_json::to_string(&store).unwrap(),
+        )
+        .unwrap();
+        fs::write(wal_path(&dir, 1), b"").unwrap();
+
+        let (persistence, recovered) =
+            Persistence::open(&dir, 1000, Telemetry::disabled()).unwrap();
+        assert_eq!(recovered, store);
+        // The legacy generation stays live: new commits append to its WAL.
+        persistence.on_labels(ObjectId(7), Labels::single(0));
+        drop(persistence);
+        let (_persistence, reopened) =
+            Persistence::open(&dir, 1000, Telemetry::disabled()).unwrap();
+        assert_eq!(reopened.labels_known(), 2);
+        assert!(snapshot_path(&dir, 1).exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A framed snapshot whose first payload length has `{` as its low
+    /// byte is still read as frames, not mistaken for legacy JSON.
+    #[test]
+    fn framed_snapshot_starting_with_a_brace_byte_is_read_as_frames() {
+        let dir = dir("brace");
+        fs::create_dir_all(&dir).unwrap();
+        let mut store = KnowledgeStore::default();
+        store.record_labels(ObjectId(4), Labels::single(1));
+        let mut payload = serde_json::to_string(&store).unwrap();
+        let padded = payload.len().next_multiple_of(256) + usize::from(b'{');
+        payload.extend(std::iter::repeat_n(' ', padded - payload.len()));
+        let framed = frame(payload.as_bytes());
+        assert_eq!(framed[0], b'{');
+        fs::write(snapshot_path(&dir, 1), framed).unwrap();
+
+        let (_persistence, recovered) =
+            Persistence::open(&dir, 1000, Telemetry::disabled()).unwrap();
+        assert_eq!(recovered, store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One flipped byte in a framed snapshot rejects the whole
+    /// file, and recovery falls back to the previous generation exactly
+    /// as it does for any unreadable snapshot.
+    #[test]
+    fn corrupt_framed_snapshot_falls_back_to_the_previous_generation() {
+        let dir = dir("corrupt");
+        let memo_root: SharedKnowledgeSource<()> = SharedKnowledgeSource::with_shards((), 4);
+        let seed_labels = |range: std::ops::Range<u32>| {
+            let mut seed = KnowledgeStore::default();
+            for i in range {
+                seed.record_labels(ObjectId(i), Labels::single(1));
+            }
+            memo_root.seed_store(&seed);
+        };
+        let (persistence, _) = Persistence::open(&dir, 1000, Telemetry::disabled()).unwrap();
+        seed_labels(0..6);
+        persistence.snapshot(&memo_root).unwrap();
+        persistence.on_labels(ObjectId(50), Labels::single(0));
+        let kept_snapshot = fs::read(snapshot_path(&dir, 1)).unwrap();
+        let kept_wal = fs::read(wal_path(&dir, 1)).unwrap();
+
+        seed_labels(6..12);
+        persistence.snapshot(&memo_root).unwrap();
+        drop(persistence);
+        assert!(!snapshot_path(&dir, 1).exists(), "rotation deleted gen 1");
+        fs::write(snapshot_path(&dir, 1), kept_snapshot).unwrap();
+        fs::write(wal_path(&dir, 1), kept_wal).unwrap();
+
+        let newest = snapshot_path(&dir, 2);
+        let mut bytes = fs::read(&newest).unwrap();
+        assert!(read_snapshot(&newest).is_some_and(|store| store.labels_known() == 12));
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x40;
+        fs::write(&newest, bytes).unwrap();
+        assert!(
+            read_snapshot(&newest).is_none(),
+            "a flipped byte rejects the file"
+        );
+
+        let (_persistence, store) = Persistence::open(&dir, 1000, Telemetry::disabled()).unwrap();
+        assert_eq!(
+            store.labels_known(),
+            7,
+            "gen 1's 6 snapshot facts + 1 WAL fact"
+        );
+        assert_eq!(store.label_of(ObjectId(50)), Some(Labels::single(0)));
+        assert!(!newest.exists(), "the rejected generation is deleted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// The chaos seam of the disk paths: every injected failure is
     /// swallowed (no panic, no lost *recovered* fact beyond what the
     /// fault itself destroyed), flips the degraded flag and lands in
@@ -932,7 +1150,7 @@ mod tests {
             (ObjectId(1), Labels::single(1)),
             (ObjectId(2), Labels::single(0)),
         ]);
-        let mut contents = spill.contents();
+        let mut contents = spill.contents(&|_| true);
         contents.sort_by_key(|(object, _)| *object);
         assert_eq!(
             contents,

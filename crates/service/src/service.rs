@@ -124,9 +124,13 @@ pub struct ServiceConfig {
     /// facts already there, logs every new one and cuts a final snapshot,
     /// exactly as an [`AuditDaemon`](crate::AuditDaemon) does.
     pub data_dir: Option<std::path::PathBuf>,
-    /// WAL records between compacted snapshots. Snapshots are cut at job
-    /// boundaries (and once at shutdown), so this is a floor on cadence,
-    /// not an exact period. Only read when [`ServiceConfig::data_dir`] is
+    /// The floor of the snapshot cadence, in WAL records. A snapshot is
+    /// cut at a job boundary once the WAL holds `max(snapshot_every, F)`
+    /// records, where `F` is the fact count of the last snapshot, and once
+    /// at shutdown — so compaction costs O(1) amortized per logged fact and
+    /// the WAL replayed at restart never outgrows the last snapshot by
+    /// more than this floor and one batch of running jobs (see
+    /// [`crate::persist`]). Only read when [`ServiceConfig::data_dir`] is
     /// set. Purely a durability/recovery-time knob: like every
     /// persistence setting, it never changes an answer.
     pub snapshot_every: u64,
