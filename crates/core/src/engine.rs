@@ -17,6 +17,24 @@
 //! implement [`InfallibleSource`] and pick up the fallible [`AnswerSource`]
 //! interface through a zero-cost blanket adapter.
 //!
+//! ## Rounds
+//!
+//! On a live crowd every trip to the platform is one publish-and-collect
+//! HIT cycle, so a driver that already knows its next few point questions
+//! should ask them **together**. [`AnswerSource`] therefore carries round
+//! methods beside the single-question ones —
+//! [`try_answer_point_labels_many`](AnswerSource::try_answer_point_labels_many)
+//! and [`try_answer_memberships`](AnswerSource::try_answer_memberships) —
+//! and the engine exposes them as [`Engine::ask_memberships`] and
+//! [`Engine::ask_point_labels_batched`]. A round obeys a **prefix
+//! contract**: on `Err` the caller receives the answers for the longest
+//! answered prefix of the round, exactly what asking one object at a time
+//! would have delivered before the failure. The default trait bodies ask
+//! one object at a time and are the sequential reference; reuse, budget
+//! and dispatch layers override them to forward a round in one trip.
+//! Cancellation is checked once per round, before it is sent: a round in
+//! flight completes.
+//!
 //! The ledger meters **logical** work: every question the algorithm asked
 //! and had answered, regardless of how the answer was produced. Answer
 //! *reuse* — [`crate::memo::SharedKnowledgeSource`] answering a set query from
@@ -25,7 +43,7 @@
 //! with and without reuse while the *crowd-side* spend (metered by
 //! whatever budget layer sits inside the reuse wrapper) drops.
 
-use crate::error::AskError;
+use crate::error::{AskError, Interrupted};
 use crate::ledger::{batched_tasks, TaskLedger};
 use crate::schema::Labels;
 use crate::target::Target;
@@ -171,6 +189,45 @@ pub trait AnswerSource {
         let labels = self.try_answer_point_labels(object)?;
         Ok(target.matches(&labels))
     }
+
+    /// Answers one **round** of independent point queries: the labels of
+    /// every object in `objects`, appended to `out` in input order.
+    ///
+    /// Prefix contract: on `Err`, `out` has gained the answers for the
+    /// longest answered prefix of `objects` — exactly what asking one
+    /// object at a time would have delivered before the failure. The
+    /// default does just that through
+    /// [`try_answer_point_labels`](Self::try_answer_point_labels), so it is
+    /// the sequential reference every override must match; layers that can
+    /// ship a round in one trip (a knowledge store, a budget governor, a
+    /// dispatcher connection) override it.
+    fn try_answer_point_labels_many(
+        &mut self,
+        objects: &[ObjectId],
+        out: &mut Vec<Labels>,
+    ) -> Result<(), AskError> {
+        for object in objects {
+            out.push(self.try_answer_point_labels(*object)?);
+        }
+        Ok(())
+    }
+
+    /// Answers one round of yes/no point queries about `target`, appended
+    /// to `out` in input order, under the same prefix contract as
+    /// [`try_answer_point_labels_many`](Self::try_answer_point_labels_many).
+    /// The default asks one object at a time through
+    /// [`try_answer_membership`](Self::try_answer_membership).
+    fn try_answer_memberships(
+        &mut self,
+        objects: &[ObjectId],
+        target: &Target,
+        out: &mut Vec<bool>,
+    ) -> Result<(), AskError> {
+        for object in objects {
+            out.push(self.try_answer_membership(*object, target)?);
+        }
+        Ok(())
+    }
 }
 
 /// An answer source that can never refuse a question.
@@ -212,17 +269,17 @@ impl<S: InfallibleSource> AnswerSource for S {
     }
 }
 
-/// Extension of [`AnswerSource`] for sources that can serve many questions
-/// in one round trip.
+/// Extension of [`AnswerSource`] for **platforms** that can serve many
+/// questions in one HIT.
 ///
-/// The batch path exists for serving layers (see the `coverage-service`
-/// crate): when several audits run concurrently, their point queries can be
-/// coalesced into many-images-per-HIT batches — the paper's actual HIT
-/// layout — instead of hitting the platform once per object. The default
-/// methods fall back to one-at-a-time answering, so any source is trivially
-/// a batch source; platforms with real per-HIT overhead (e.g. `MTurkSim` in
-/// the `crowd-sim` crate) override them. A batch is all-or-nothing: on
-/// `Err` no answer of the batch is delivered.
+/// The batch path exists for the `coverage-service` dispatcher: it
+/// coalesces the point queries of every job in a round into
+/// many-images-per-HIT batches — the paper's actual HIT layout — instead of
+/// hitting the platform once per object. The default methods fall back to
+/// one-at-a-time answering, so any source is trivially a batch source;
+/// platforms with real per-HIT overhead (e.g. `MTurkSim` in the `crowd-sim`
+/// crate) override them. Unlike the round methods of [`AnswerSource`], a
+/// HIT is all-or-nothing: on `Err` no answer of the batch is delivered.
 pub trait BatchAnswerSource: AnswerSource {
     /// Labels every object in `objects`, treating the whole slice as one
     /// coalesced request. Answers must line up index-for-index.
@@ -262,8 +319,8 @@ pub trait BatchAnswerSource: AnswerSource {
 /// Clone the token, hand one clone to [`Engine::set_cancel_token`], keep
 /// the other; [`CancelToken::cancel`] makes the engine's next `ask_*`
 /// return [`AskError::Cancelled`], and the interrupted algorithm surfaces
-/// its partial result. Cancellation is observed at question boundaries —
-/// no work in flight is torn down.
+/// its partial result. Cancellation is observed at question (and round)
+/// boundaries — no work in flight is torn down.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -534,37 +591,59 @@ impl<S: AnswerSource> Engine<S> {
         Ok(ans)
     }
 
-    /// Labels a batch of objects, charged as `ceil(len / point_batch)` tasks
-    /// — the paper's many-images-per-HIT layout.
+    /// Asks one round of yes/no membership questions, one per object, in a
+    /// single [`AnswerSource::try_answer_memberships`] call. Each delivered
+    /// answer is recorded as its own single-object task, exactly as
+    /// [`ask_membership_single`](Self::ask_membership_single) would record
+    /// it; only the number of dispatch rounds differs.
+    ///
+    /// # Errors
+    /// On a failure the [`Interrupted`] partial holds the answers for the
+    /// longest answered prefix of `objects` (already metered).
+    pub fn ask_memberships(
+        &mut self,
+        objects: &[ObjectId],
+        target: &Target,
+    ) -> Result<Vec<bool>, Interrupted<Vec<bool>>> {
+        let mut answers = Vec::with_capacity(objects.len());
+        let result = self.checkpoint().and_then(|()| {
+            self.source
+                .try_answer_memberships(objects, target, &mut answers)
+        });
+        let delivered = answers.len() as u64;
+        self.ledger.record_point_work(delivered, delivered);
+        match result {
+            Ok(()) => Ok(answers),
+            Err(error) => Err(Interrupted {
+                error,
+                partial: answers,
+            }),
+        }
+    }
+
+    /// Labels a batch of objects in one round, charged as
+    /// `ceil(len / point_batch)` tasks — the paper's many-images-per-HIT
+    /// layout.
     ///
     /// Delivery is all-or-nothing: on `Err` no labels are returned. The
-    /// labels the source *did* answer before refusing are still metered in
-    /// the ledger — they are real crowd work (a governor has charged them,
-    /// and behind a cache they stay reusable), so the ledger must not
-    /// understate them.
+    /// labels the source *did* answer before refusing (the round's answered
+    /// prefix) are still metered in the ledger — they are real crowd work
+    /// (a governor has charged them, and behind a cache they stay
+    /// reusable), so the ledger must not understate them.
     pub fn ask_point_labels_batched(
         &mut self,
         objects: &[ObjectId],
     ) -> Result<Vec<Labels>, AskError> {
         self.checkpoint()?;
         let mut labels: Vec<Labels> = Vec::with_capacity(objects.len());
-        for o in objects {
-            match self.source.try_answer_point_labels(*o) {
-                Ok(l) => labels.push(l),
-                Err(error) => {
-                    self.ledger.record_point_work(
-                        labels.len() as u64,
-                        batched_tasks(labels.len(), self.point_batch),
-                    );
-                    return Err(error);
-                }
-            }
-        }
+        let result = self
+            .source
+            .try_answer_point_labels_many(objects, &mut labels);
         self.ledger.record_point_work(
-            objects.len() as u64,
-            batched_tasks(objects.len(), self.point_batch),
+            labels.len() as u64,
+            batched_tasks(labels.len(), self.point_batch),
         );
-        Ok(labels)
+        result.map(|()| labels)
     }
 
     /// The configured point-query batch size.
@@ -703,6 +782,14 @@ mod tests {
         assert_eq!(
             engine.ask_point_labels_batched(&ids),
             Err(AskError::Cancelled)
+        );
+        // A round is refused whole, before anything is sent.
+        assert_eq!(
+            engine.ask_memberships(&ids, &target),
+            Err(Interrupted {
+                error: AskError::Cancelled,
+                partial: Vec::new()
+            })
         );
         // The refused questions were never charged.
         assert_eq!(engine.ledger().total_tasks(), 1);

@@ -1216,80 +1216,135 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
         let labels = self.try_answer_point_labels(object)?;
         Ok(target.matches(&labels))
     }
-}
 
-impl<S: BatchAnswerSource> BatchAnswerSource for SharedKnowledgeSource<S> {
-    /// Serves known labels locally, forwards the unclaimed unknowns to the
-    /// inner batch path in one coalesced request, and waits out objects
-    /// another handle already has in flight. On `Err` every claimed object
-    /// is released (and waiters woken) without recording anything.
+    /// Sorts the round, in input order, into objects the store knows,
+    /// objects another handle has in flight and objects this handle claims;
+    /// forwards every claimed object to the inner source in **one** round,
+    /// commits the answered ones, releases the rest (waking their waiters)
+    /// and delivers the answered prefix. In-flight objects are waited out
+    /// through the single path, in their input position.
     ///
-    /// Classification walks the batch in input order, taking each object's
-    /// shard lock as it goes, so the forwarded id order — and therefore the
-    /// inner source's view of the batch — is identical to the single-mutex
-    /// design whatever the shard count.
-    fn try_answer_point_labels_batch(
+    /// Hits are counted only for delivered objects, and a repeated object
+    /// is forwarded once and then a hit — so a single-threaded round
+    /// leaves the same answers, spend and [`ReuseStats`] as asking one
+    /// object at a time. Classification takes each object's shard lock in
+    /// input order, so the forwarded order is the same whatever the shard
+    /// count.
+    fn try_answer_point_labels_many(
         &mut self,
         objects: &[ObjectId],
-    ) -> Result<Vec<Labels>, AskError> {
-        let shared = Arc::clone(&self.shared);
-        let mut answers: Vec<Option<Labels>> = vec![None; objects.len()];
-        let mut claimed: Vec<(usize, ObjectId)> = Vec::new();
-        let mut deferred: Vec<(usize, ObjectId)> = Vec::new();
-        let mut hits = 0u64;
-        for (i, o) in objects.iter().enumerate() {
-            let mut state = shared.fact_shard(*o).lock();
-            if let Some(l) = state.facts.label_of(*o) {
-                shared.touch(&mut state, *o);
-                hits += 1;
-                answers[i] = Some(l);
-            } else if let Some(l) = shared.recall_spilled(&mut state, *o) {
-                hits += 1;
-                answers[i] = Some(l);
-            } else if state.label_in_flight.contains(o) || claimed.iter().any(|(_, c)| c == o) {
-                deferred.push((i, *o));
-            } else {
-                state.label_in_flight.insert(*o);
-                claimed.push((i, *o));
-            }
+        out: &mut Vec<Labels>,
+    ) -> Result<(), AskError> {
+        /// Where one input position's answer comes from.
+        enum Slot {
+            Known(Labels),
+            /// Index into the claimed objects; `true` for a repeat.
+            Claimed(usize, bool),
+            Elsewhere(ObjectId),
         }
-        self.record_hits(hits);
-        if !claimed.is_empty() {
+        let shared = Arc::clone(&self.shared);
+        let mut slots = Vec::with_capacity(objects.len());
+        let mut claimed: Vec<ObjectId> = Vec::new();
+        for object in objects {
+            let mut state = shared.fact_shard(*object).lock();
+            let slot = if let Some(l) = state.facts.label_of(*object) {
+                shared.touch(&mut state, *object);
+                Slot::Known(l)
+            } else if let Some(l) = shared.recall_spilled(&mut state, *object) {
+                Slot::Known(l)
+            } else if state.label_in_flight.contains(object) {
+                match claimed.iter().position(|c| c == object) {
+                    Some(k) => Slot::Claimed(k, true),
+                    None => Slot::Elsewhere(*object),
+                }
+            } else {
+                state.label_in_flight.insert(*object);
+                claimed.push(*object);
+                Slot::Claimed(claimed.len() - 1, false)
+            };
+            slots.push(slot);
+        }
+
+        let mut fresh = Vec::with_capacity(claimed.len());
+        let forwarded = if claimed.is_empty() {
+            Ok(())
+        } else {
+            // On Err the guard's Drop releases every claim left unanswered
+            // and wakes the waiters, who then re-claim those objects.
             let mut guard = LabelFlightGuard {
                 shared: &shared,
-                keys: claimed.iter().map(|(_, o)| *o).collect(),
+                keys: claimed.clone(),
             };
-            let fresh_ids: Vec<ObjectId> = claimed.iter().map(|(_, o)| *o).collect();
-            // On Err the guard's Drop releases every claimed key and wakes
-            // the waiters, who then re-claim those objects themselves.
-            let fresh = self.inner.try_answer_point_labels_batch(&fresh_ids)?;
-            let mut committed: Vec<(ObjectId, Labels)> = Vec::with_capacity(fresh.len());
-            for ((i, o), l) in claimed.into_iter().zip(fresh) {
-                let shard = shared.fact_shard(o);
+            let forwarded = self
+                .inner
+                .try_answer_point_labels_many(&claimed, &mut fresh);
+            fresh.truncate(claimed.len());
+            for (object, labels) in claimed.iter().zip(&fresh) {
+                let shard = shared.fact_shard(*object);
                 let mut state = shard.lock();
-                state.label_in_flight.remove(&o);
-                state.facts.record_labels(o, l);
-                shared.touch(&mut state, o);
+                state.label_in_flight.remove(object);
+                state.facts.record_labels(*object, *labels);
+                shared.touch(&mut state, *object);
                 shared.enforce_watermark(&mut state);
                 drop(state);
                 shard.ready.notify_all();
-                answers[i] = Some(l);
-                committed.push((o, l));
             }
-            guard.disarm();
-            self.record_forwarded(fresh_ids.len() as u64, 0);
+            guard.keys.drain(..fresh.len());
+            drop(guard);
+            self.record_forwarded(fresh.len() as u64, 0);
             if let Some(sink) = shared.sink.get() {
-                for (o, l) in committed {
-                    sink.on_labels(o, l);
+                for (object, labels) in claimed.iter().zip(&fresh) {
+                    sink.on_labels(*object, *labels);
                 }
             }
+            forwarded
+        };
+
+        let mut hits = 0u64;
+        let mut result = Ok(());
+        for slot in slots {
+            let labels = match slot {
+                Slot::Known(l) => {
+                    hits += 1;
+                    l
+                }
+                Slot::Claimed(k, repeat) => match fresh.get(k) {
+                    Some(l) => {
+                        hits += u64::from(repeat);
+                        *l
+                    }
+                    None => {
+                        result = Err(forwarded.clone().err().unwrap_or_else(|| {
+                            AskError::SourceFailed("inner source answered a short round".into())
+                        }));
+                        break;
+                    }
+                },
+                Slot::Elsewhere(object) => match self.try_answer_point_labels(object) {
+                    Ok(l) => l,
+                    Err(error) => {
+                        result = Err(error);
+                        break;
+                    }
+                },
+            };
+            out.push(labels);
         }
-        // Objects someone else had in flight: the single path waits for the
-        // committed answer (or re-claims it if that flight failed).
-        for (i, o) in deferred {
-            answers[i] = Some(self.try_answer_point_labels(o)?);
-        }
-        Ok(answers.into_iter().map(|l| l.expect("filled")).collect())
+        self.record_hits(hits);
+        result
+    }
+
+    fn try_answer_memberships(
+        &mut self,
+        objects: &[ObjectId],
+        target: &Target,
+        out: &mut Vec<bool>,
+    ) -> Result<(), AskError> {
+        // Through the label facts, as the single membership path goes.
+        let mut labels = Vec::with_capacity(objects.len());
+        let result = self.try_answer_point_labels_many(objects, &mut labels);
+        out.extend(labels.iter().map(|l| target.matches(l)));
+        result
     }
 }
 
@@ -1299,6 +1354,13 @@ mod tests {
     use crate::engine::{Engine, GroundTruth, PerfectSource, VecGroundTruth};
     use crate::group_coverage::{group_coverage, DncConfig};
     use crate::pattern::Pattern;
+
+    /// One round of point labels through the round method, as a `Result`.
+    fn many<S: AnswerSource>(src: &mut S, objects: &[ObjectId]) -> Result<Vec<Labels>, AskError> {
+        let mut out = Vec::new();
+        src.try_answer_point_labels_many(objects, &mut out)
+            .map(|()| out)
+    }
 
     fn truth(n: usize, minority: usize) -> VecGroundTruth {
         VecGroundTruth::new(
@@ -1338,8 +1400,6 @@ mod tests {
             self.inner.try_answer_point_labels(object)
         }
     }
-
-    impl BatchAnswerSource for SpySource<'_> {}
 
     #[test]
     fn repeated_set_queries_hit_cache() {
@@ -1563,7 +1623,7 @@ mod tests {
         let mut src = SharedKnowledgeSource::new(PerfectSource::new(&t));
         src.try_answer_point_labels(ObjectId(0)).unwrap();
         src.try_answer_point_labels(ObjectId(1)).unwrap();
-        let batched = src.try_answer_point_labels_batch(&ids[..10]).unwrap();
+        let batched = many(&mut src, &ids[..10]).unwrap();
         for (i, l) in batched.iter().enumerate() {
             assert_eq!(*l, t.labels_of(ids[i]));
         }
@@ -1571,7 +1631,7 @@ mod tests {
         assert_eq!(src.cache_misses(), 10);
         assert_eq!(src.cache_hits(), 2);
         // The whole batch is now known.
-        src.try_answer_point_labels_batch(&ids[..10]).unwrap();
+        many(&mut src, &ids[..10]).unwrap();
         assert_eq!(src.cache_misses(), 10);
         assert_eq!(src.cache_hits(), 12);
     }
@@ -1666,8 +1726,6 @@ mod tests {
         }
     }
 
-    impl BatchAnswerSource for DownSource {}
-
     /// One handle's failure releases the in-flight claim: the next asker
     /// re-claims the question and gets a real answer — failures are never
     /// recorded and never poison the shared state.
@@ -1688,10 +1746,90 @@ mod tests {
         assert_eq!(healthy.try_answer_set(&ids, &target), Ok(true));
         assert_eq!(root.cache_misses(), 1, "only the delivered answer counts");
 
-        // Same for the batch path: a failed batch releases every claim.
-        assert!(broken.try_answer_point_labels_batch(&ids[..6]).is_err());
-        let labels = healthy.try_answer_point_labels_batch(&ids[..6]).unwrap();
+        // Same for the round path: a failed round releases every claim.
+        assert!(many(&mut broken, &ids[..6]).is_err());
+        let labels = many(&mut healthy, &ids[..6]).unwrap();
         assert_eq!(labels.len(), 6);
+    }
+
+    /// Answers the first `allow` point questions, then refuses.
+    #[derive(Debug, Clone)]
+    struct Capped<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        allow: usize,
+    }
+
+    impl AnswerSource for Capped<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            if self.allow == 0 {
+                return Err(AskError::SourceFailed("cap".into()));
+            }
+            self.allow -= 1;
+            self.inner.try_answer_point_labels(object)
+        }
+    }
+
+    /// The round path under a cut delivers what one-at-a-time asking
+    /// delivers — the same prefix, spend, stats and stored facts — with
+    /// known objects, repeats and unknown objects mixed in one round.
+    #[test]
+    fn round_matches_one_at_a_time_under_any_cut() {
+        let t = truth(40, 12);
+        let ids = t.all_ids();
+        let mut round: Vec<ObjectId> = ids[..20].to_vec();
+        round.extend_from_slice(&ids[5..9]); // repeats of earlier objects
+        round.extend_from_slice(&ids[30..36]);
+        for allow in 0..=25 {
+            let fresh = || {
+                let src = SharedKnowledgeSource::with_shards(
+                    Capped {
+                        inner: PerfectSource::new(&t),
+                        allow,
+                    },
+                    3,
+                );
+                // Some objects are known before the round starts.
+                for id in [ids[2], ids[11], ids[31]] {
+                    let mut seeded = KnowledgeStore::new();
+                    seeded.record_labels(id, t.labels_of(id));
+                    src.seed_store(&seeded);
+                }
+                src
+            };
+            let mut batched = fresh();
+            let mut got = Vec::new();
+            let batched_result = batched.try_answer_point_labels_many(&round, &mut got);
+            let mut single = fresh();
+            let mut want = Vec::new();
+            let mut single_result = Ok(());
+            for id in &round {
+                match single.try_answer_point_labels(*id) {
+                    Ok(l) => want.push(l),
+                    Err(e) => {
+                        single_result = Err(e);
+                        break;
+                    }
+                }
+            }
+            assert_eq!(got, want, "allow={allow}");
+            assert_eq!(batched_result, single_result, "allow={allow}");
+            assert_eq!(batched.reuse_stats(), single.reuse_stats(), "allow={allow}");
+            assert_eq!(batched.local_reuse_stats(), single.local_reuse_stats());
+            assert_eq!(batched.inner().allow, single.inner().allow, "spend");
+            assert_eq!(batched.store_snapshot(), single.store_snapshot());
+            // Every claim was committed or released: nothing stays in flight.
+            for shard in &batched.shared.fact_shards {
+                assert!(shard.lock().label_in_flight.is_empty());
+            }
+        }
     }
 
     /// A waiter coalesced behind a failing claim is woken, re-claims, and
@@ -1740,7 +1878,7 @@ mod tests {
             for chunk in ids.chunks(23) {
                 sets.push(src.try_answer_set(chunk, &female.negated()).unwrap());
             }
-            labels.extend(src.try_answer_point_labels_batch(&ids[50..150]).unwrap());
+            labels.extend(many(&mut src, &ids[50..150]).unwrap());
             (sets, labels, src.reuse_stats())
         };
         let baseline = run(1);
@@ -1866,7 +2004,7 @@ mod tests {
         root.set_fact_sink(Arc::clone(&sink) as Arc<dyn FactSink>);
         let mut handle = root.clone();
         handle.try_answer_point_labels(ObjectId(2)).unwrap();
-        handle.try_answer_point_labels_batch(&ids[10..20]).unwrap();
+        many(&mut handle, &ids[10..20]).unwrap();
         for chunk in ids.chunks(13) {
             handle.try_answer_set(chunk, &female).unwrap();
         }
@@ -2064,7 +2202,7 @@ mod tests {
         for id in &ids[..20] {
             src.try_answer_point_labels(*id).unwrap();
         }
-        src.try_answer_point_labels_batch(&ids[10..40]).unwrap();
+        many(&mut src, &ids[10..40]).unwrap();
         for id in &ids[..40] {
             src.try_answer_membership(*id, &female).unwrap();
         }

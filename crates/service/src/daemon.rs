@@ -290,9 +290,16 @@ pub(crate) struct WorkerContext {
 
 #[derive(Debug)]
 struct JobSlot {
+    /// The spec's label, kept for [`AuditDaemon::jobs`] and
+    /// [`AuditDaemon::snapshot`] after the spec itself is dropped.
+    name: String,
+    /// The algorithm's name, kept for the same summaries.
+    algorithm: &'static str,
     /// Immutable after submission; `Arc` so a worker's pop clones a
-    /// refcount, not a pool vector, under the daemon-wide lock.
-    spec: Arc<JobSpec>,
+    /// refcount, not a pool vector, under the daemon-wide lock. Dropped
+    /// when the report is published, so a finished job never pins its
+    /// pool.
+    spec: Option<Arc<JobSpec>>,
     status: JobStatus,
     report: Option<JobReport>,
     cancel: CancelToken,
@@ -458,7 +465,9 @@ impl DaemonCore {
             )
         });
         state.jobs.push(JobSlot {
-            spec: Arc::new(spec),
+            name: spec.name.clone(),
+            algorithm: spec.kind.name(),
+            spec: Some(Arc::new(spec)),
             status: JobStatus::Queued,
             report: None,
             cancel,
@@ -698,8 +707,8 @@ impl<S> AuditDaemon<S> {
             .enumerate()
             .map(|(index, job)| JobSummary {
                 id: JobId(index as u64),
-                name: job.spec.name.clone(),
-                algorithm: job.spec.kind.name().to_string(),
+                name: job.name.clone(),
+                algorithm: job.algorithm.to_string(),
                 status: job.status,
             })
             .collect()
@@ -716,8 +725,8 @@ impl<S> AuditDaemon<S> {
         Some((
             JobSummary {
                 id,
-                name: job.spec.name.clone(),
-                algorithm: job.spec.kind.name().to_string(),
+                name: job.name.clone(),
+                algorithm: job.algorithm.to_string(),
                 status: job.status,
             },
             job.report.clone(),
@@ -926,6 +935,11 @@ fn worker_loop(context: WorkerContext) {
             let mut state = context.shared.lock();
             loop {
                 if let Some(index) = state.queue.pop() {
+                    // Every queued job still holds its spec; only a
+                    // published report drops it.
+                    let Some(spec) = state.jobs[index].spec.clone() else {
+                        continue;
+                    };
                     // A job cancelled while queued must never be observed
                     // `Running` — the documented contract is that it
                     // reports `Cancelled` without running (`run_job` sees
@@ -936,12 +950,7 @@ fn worker_loop(context: WorkerContext) {
                     }
                     state.running += 1;
                     let job = &state.jobs[index];
-                    break (
-                        index,
-                        Arc::clone(&job.spec),
-                        job.cancel.clone(),
-                        job.submitted_at,
-                    );
+                    break (index, spec, job.cancel.clone(), job.submitted_at);
                 }
                 if !state.accepting {
                     return;
@@ -970,8 +979,10 @@ fn worker_loop(context: WorkerContext) {
         }
         {
             let mut state = context.shared.lock();
-            state.jobs[index].status = report.status;
-            state.jobs[index].report = Some(report);
+            let job = &mut state.jobs[index];
+            job.status = report.status;
+            job.report = Some(report);
+            job.spec = None;
             state.finished_order.push(JobId(index as u64));
             state.running -= 1;
         }
@@ -999,6 +1010,43 @@ mod tests {
 
     fn group_job(name: &str, pool: Vec<ObjectId>) -> JobSpec {
         JobSpec::new(name, pool, AuditKind::GroupCoverage { target: female() }).tau(5)
+    }
+
+    #[test]
+    fn finished_jobs_drop_their_spec() {
+        let truth = truth(400, 60);
+        let daemon = AuditDaemon::start(
+            ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            },
+            SharedTruthSource::new(Arc::clone(&truth)),
+        );
+        let ids: Vec<JobId> = (0..4)
+            .map(|i| {
+                daemon
+                    .submit(group_job(&format!("t{i}/job"), truth.all_ids()))
+                    .unwrap()
+            })
+            .collect();
+        daemon.drain();
+        {
+            let state = daemon.core.shared.lock();
+            assert_eq!(state.jobs.len(), 4);
+            assert!(
+                state.jobs.iter().all(|job| job.spec.is_none()),
+                "a drained daemon must hold no finished job's pool"
+            );
+        }
+        // The summaries still name every job.
+        for (i, id) in ids.iter().enumerate() {
+            let (summary, report) = daemon.snapshot(*id).unwrap();
+            assert_eq!(summary.name, format!("t{i}/job"));
+            assert_eq!(summary.algorithm, "group_coverage");
+            assert!(report.unwrap().status.is_done());
+        }
+        assert_eq!(daemon.jobs().len(), 4);
+        daemon.shutdown().expect("first shutdown");
     }
 
     #[test]

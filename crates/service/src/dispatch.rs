@@ -10,6 +10,20 @@
 //! simulated platform round-trip latency is configured — share waiting
 //! time: the concurrency win the `service_throughput` bench measures.
 //!
+//! ## How a round is assembled
+//!
+//! A job ships each of its point rounds
+//! ([`AnswerSource::try_answer_point_labels_many`]) as **one** request; a
+//! single point query is the one-object round. When the dispatcher drains
+//! its channel, every job's point objects join one queue in request order,
+//! which is cut into `point_batch`-object HITs — a HIT may carry several
+//! jobs' objects and a job's round may span several HITs. Each job gets
+//! one reply assembled from its slices. A HIT is all-or-nothing, so when
+//! one fails, each job riding in it keeps the labels of its earlier HITs
+//! plus the error, and its later objects are dropped from the HITs still
+//! to come: the job receives exactly its answered prefix. A round's
+//! question count counts objects, not requests.
+//!
 //! In the full service stack the set queries arriving here are the
 //! **residuals** left after the shared knowledge store decided or narrowed
 //! each query — the dispatcher publishes exactly the crowd work that no
@@ -161,7 +175,8 @@ pub struct DispatchStats {
     pub set_batches: u64,
     /// Yes/no membership HITs served.
     pub memberships_served: u64,
-    /// The largest number of questions drained in one round.
+    /// The largest number of questions drained in one round (a point
+    /// round counts its objects).
     pub max_round_questions: u64,
     /// Redeliveries after transient failures (each is one extra platform
     /// call that the governed ledger never re-charges).
@@ -180,8 +195,10 @@ enum Question {
         objects: Vec<ObjectId>,
         target: Target,
     },
-    Point {
-        object: ObjectId,
+    /// One round of independent point queries (a single point query is the
+    /// one-object case).
+    Points {
+        objects: Vec<ObjectId>,
     },
     Membership {
         object: ObjectId,
@@ -189,12 +206,39 @@ enum Question {
     },
 }
 
+impl Question {
+    /// How many questions this request carries: a point round counts its
+    /// objects.
+    fn count(&self) -> u64 {
+        match self {
+            Question::Points { objects } => objects.len() as u64,
+            _ => 1,
+        }
+    }
+}
+
 enum Answer {
     Bool(bool),
-    Labels(Labels),
+    /// The labels of a point round's answered prefix, in request order,
+    /// and the error that cut it (`None` when every object was answered).
+    Labels {
+        labels: Vec<Labels>,
+        error: Option<AskError>,
+    },
     /// The platform refused or failed this question; the error is relayed
     /// verbatim to the asking job.
     Failed(AskError),
+}
+
+/// One job's point round while the dispatcher assembles it: the objects
+/// asked, the labels gathered so far from the round's HIT chunks, and the
+/// first chunk failure, after which its remaining objects are skipped.
+struct PointRound {
+    objects: Vec<ObjectId>,
+    origin: Origin,
+    reply: mpsc::Sender<Answer>,
+    labels: Vec<Labels>,
+    error: Option<AskError>,
 }
 
 /// Who asked a question: the tenant (for circuit breaking and per-tenant
@@ -271,13 +315,33 @@ impl AnswerSource for DispatchHandle {
         })? {
             Answer::Bool(b) => Ok(b),
             Answer::Failed(e) => Err(e),
-            Answer::Labels(_) => unreachable!("set query answered with labels"),
+            Answer::Labels { .. } => unreachable!("set query answered with labels"),
         }
     }
 
     fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
-        match self.ask(Question::Point { object })? {
-            Answer::Labels(l) => Ok(l),
+        let mut out = Vec::with_capacity(1);
+        self.try_answer_point_labels_many(&[object], &mut out)?;
+        out.pop().ok_or(AskError::ConnectionLost)
+    }
+
+    /// Ships the whole round as one request: the dispatcher serves its
+    /// objects inside the round's shared HIT chunks and replies once.
+    fn try_answer_point_labels_many(
+        &mut self,
+        objects: &[ObjectId],
+        out: &mut Vec<Labels>,
+    ) -> Result<(), AskError> {
+        if objects.is_empty() {
+            return Ok(());
+        }
+        match self.ask(Question::Points {
+            objects: objects.to_vec(),
+        })? {
+            Answer::Labels { labels, error } => {
+                out.extend(labels);
+                error.map_or(Ok(()), Err)
+            }
             Answer::Failed(e) => Err(e),
             Answer::Bool(_) => unreachable!("point query answered with bool"),
         }
@@ -294,7 +358,7 @@ impl AnswerSource for DispatchHandle {
         })? {
             Answer::Bool(b) => Ok(b),
             Answer::Failed(e) => Err(e),
-            Answer::Labels(_) => unreachable!("membership query answered with labels"),
+            Answer::Labels { .. } => unreachable!("membership query answered with labels"),
         }
     }
 }
@@ -417,6 +481,68 @@ fn distinct_jobs(origins: &[&Origin]) -> Vec<u64> {
     seen
 }
 
+/// Serves every job's point round of one dispatch round through shared
+/// `point_batch`-object HITs. The rounds' objects are laid end to end in
+/// request order and cut into chunks, so one HIT can carry several jobs'
+/// objects and one job's round can span several HITs. A HIT is
+/// all-or-nothing: when one fails, each job riding in it keeps the labels
+/// of its earlier chunks and gets the error, and its later objects are
+/// dropped from the chunks still to come — that job receives exactly its
+/// answered prefix. Each job gets one reply, assembled from its slices.
+fn serve_point_rounds<S: BatchAnswerSource>(
+    source: &mut S,
+    cfg: &DispatcherConfig,
+    stats: &mut DispatchStats,
+    mut rounds: Vec<PointRound>,
+) {
+    let queue: Vec<(usize, ObjectId)> = rounds
+        .iter()
+        .enumerate()
+        .flat_map(|(job, round)| round.objects.iter().map(move |o| (job, *o)))
+        .collect();
+    let mut next = queue.iter();
+    loop {
+        let chunk: Vec<(usize, ObjectId)> = next
+            .by_ref()
+            .filter(|(job, _)| rounds[*job].error.is_none())
+            .take(cfg.point_batch)
+            .copied()
+            .collect();
+        if chunk.is_empty() {
+            break;
+        }
+        cfg.telemetry.record_point_batch(chunk.len() as u64);
+        let objects: Vec<ObjectId> = chunk.iter().map(|(_, o)| *o).collect();
+        // One origin per job riding in the chunk: retries and breaker
+        // outcomes are counted per question asked, not per object.
+        let mut jobs: Vec<usize> = chunk.iter().map(|(job, _)| *job).collect();
+        jobs.dedup();
+        let origins: Vec<&Origin> = jobs.iter().map(|job| &rounds[*job].origin).collect();
+        match serve_with_retry(source, cfg, stats, &origins, "point-label HIT", true, |s| {
+            s.try_answer_point_labels_batch(&objects)
+        }) {
+            Ok(labels) => {
+                stats.point_hits += 1;
+                stats.points_served += labels.len() as u64;
+                for ((job, _), l) in chunk.iter().zip(labels) {
+                    rounds[*job].labels.push(l);
+                }
+            }
+            Err(e) => {
+                for job in jobs {
+                    rounds[job].error = Some(e.clone());
+                }
+            }
+        }
+    }
+    for round in rounds {
+        let _ = round.reply.send(Answer::Labels {
+            labels: round.labels,
+            error: round.error,
+        });
+    }
+}
+
 /// Runs the dispatch loop until every [`DispatchHandle`] is dropped.
 /// Intended to run on its own thread; returns the accumulated stats.
 pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
@@ -433,8 +559,8 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
             pending.push(more);
         }
         stats.rounds += 1;
-        stats.max_round_questions = stats.max_round_questions.max(pending.len() as u64);
-        let round_questions = pending.len() as u64;
+        let round_questions: u64 = pending.iter().map(|r| r.question.count()).sum();
+        stats.max_round_questions = stats.max_round_questions.max(round_questions);
 
         // The crowd answers the whole round's HITs in parallel: one
         // simulated round trip covers everything drained this round.
@@ -447,7 +573,7 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
         // not the whole run: the fallible source returns `Err`, which is
         // relayed as `Answer::Failed` to exactly those jobs — the job
         // runner turns it into `JobStatus::Failed`.
-        let mut point_replies: Vec<(ObjectId, Origin, mpsc::Sender<Answer>)> = Vec::new();
+        let mut point_rounds: Vec<PointRound> = Vec::new();
         let mut set_replies: Vec<(Vec<ObjectId>, Target, Origin, mpsc::Sender<Answer>)> =
             Vec::new();
         for request in pending {
@@ -470,8 +596,14 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
                 continue;
             }
             match request.question {
-                Question::Point { object } => {
-                    point_replies.push((object, request.origin, request.reply));
+                Question::Points { objects } => {
+                    point_rounds.push(PointRound {
+                        labels: Vec::with_capacity(objects.len()),
+                        objects,
+                        origin: request.origin,
+                        reply: request.reply,
+                        error: None,
+                    });
                 }
                 Question::Set { objects, target } => {
                     set_replies.push((objects, target, request.origin, request.reply));
@@ -550,35 +682,7 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
             let _ = reply.send(answer);
         }
 
-        for chunk in point_replies.chunks(cfg.point_batch) {
-            cfg.telemetry.record_point_batch(chunk.len() as u64);
-            let objects: Vec<ObjectId> = chunk.iter().map(|(o, _, _)| *o).collect();
-            let origins: Vec<&Origin> = chunk.iter().map(|(_, origin, _)| origin).collect();
-            match serve_with_retry(
-                source,
-                cfg,
-                &mut stats,
-                &origins,
-                "point-label HIT",
-                true,
-                |s| s.try_answer_point_labels_batch(&objects),
-            ) {
-                Ok(labels) => {
-                    stats.point_hits += 1;
-                    stats.points_served += labels.len() as u64;
-                    for ((_, _, reply), l) in chunk.iter().zip(labels) {
-                        let _ = reply.send(Answer::Labels(l));
-                    }
-                }
-                Err(e) => {
-                    // The batch is all-or-nothing: every job in the chunk
-                    // receives the failure (see BatchAnswerSource docs).
-                    for (_, _, reply) in chunk {
-                        let _ = reply.send(Answer::Failed(e.clone()));
-                    }
-                }
-            }
-        }
+        serve_point_rounds(source, cfg, &mut stats, point_rounds);
 
         // Close the round's books after every reply has gone out: the
         // round-trip histogram measures what the asking jobs experienced.
@@ -881,6 +985,163 @@ mod tests {
         });
         assert_eq!(stats.breaker_rejections, 1);
         assert_eq!(stats.retry_exhausted, 2);
+    }
+
+    /// Queues one point round straight onto the dispatcher's channel, so
+    /// a test controls exactly which requests one round drains.
+    fn queue_round(handle: &DispatchHandle, objects: Vec<ObjectId>) -> mpsc::Receiver<Answer> {
+        let (reply, rx) = mpsc::channel();
+        handle
+            .tx
+            .send(Request {
+                question: Question::Points { objects },
+                origin: Origin::untagged(),
+                reply,
+            })
+            .unwrap();
+        rx
+    }
+
+    fn labels_of(answer: Answer) -> (Vec<Labels>, Option<AskError>) {
+        match answer {
+            Answer::Labels { labels, error } => (labels, error),
+            Answer::Failed(e) => (Vec::new(), Some(e)),
+            Answer::Bool(_) => panic!("point round answered with bool"),
+        }
+    }
+
+    /// A platform whose `fail_hit`-th point HIT fails permanently.
+    struct FailsHit<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        fail_hit: u32,
+        hits: u32,
+    }
+
+    impl AnswerSource for FailsHit<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+    }
+
+    impl BatchAnswerSource for FailsHit<'_> {
+        fn try_answer_point_labels_batch(
+            &mut self,
+            objects: &[ObjectId],
+        ) -> Result<Vec<Labels>, AskError> {
+            self.hits += 1;
+            if self.hits == self.fail_hit {
+                return Err(AskError::SourceFailed("bad hit".into()));
+            }
+            self.inner.try_answer_point_labels_batch(objects)
+        }
+    }
+
+    fn batch_of_50() -> DispatcherConfig {
+        DispatcherConfig {
+            point_batch: 50,
+            ..DispatcherConfig::default()
+        }
+    }
+
+    #[test]
+    fn one_point_round_is_one_dispatch_round() {
+        let t = truth(200, 30);
+        let ids = t.all_ids();
+        let (handle, rx) = dispatch_channel();
+        let cfg = batch_of_50();
+        let stats = std::thread::scope(|scope| {
+            let dispatcher = scope.spawn(|| {
+                let mut source = PerfectSource::new(&t);
+                run_dispatcher(&mut source, rx, &cfg)
+            });
+            let mut h = handle;
+            let mut out = Vec::new();
+            h.try_answer_point_labels_many(&ids[..120], &mut out)
+                .unwrap();
+            let want: Vec<Labels> = ids[..120].iter().map(|o| t.labels_of(*o)).collect();
+            assert_eq!(out, want);
+            drop(h);
+            dispatcher.join().expect("dispatcher")
+        });
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.point_hits, 3, "ceil(120 / 50) HITs");
+        assert_eq!(stats.points_served, 120);
+        assert_eq!(stats.max_round_questions, 120, "a round counts objects");
+    }
+
+    #[test]
+    fn rounds_drained_together_share_hits() {
+        let t = truth(200, 30);
+        let ids = t.all_ids();
+        let (handle, rx) = dispatch_channel();
+        // Both rounds are queued before the dispatcher starts, so its first
+        // drain takes them together: 30 + 40 objects fit two 50-object HITs.
+        let first = queue_round(&handle, ids[..30].to_vec());
+        let second = queue_round(&handle, ids[100..140].to_vec());
+        drop(handle);
+        let mut source = PerfectSource::new(&t);
+        let stats = run_dispatcher(&mut source, rx, &batch_of_50());
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.point_hits, 2, "70 objects from two jobs in 2 HITs");
+        let (a, a_err) = labels_of(first.recv().unwrap());
+        let (b, b_err) = labels_of(second.recv().unwrap());
+        assert!(a_err.is_none() && b_err.is_none());
+        assert_eq!(
+            a,
+            ids[..30]
+                .iter()
+                .map(|o| t.labels_of(*o))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            b,
+            ids[100..140]
+                .iter()
+                .map(|o| t.labels_of(*o))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn failed_hit_leaves_each_job_its_answered_prefix() {
+        let t = truth(200, 30);
+        let ids = t.all_ids();
+        let (handle, rx) = dispatch_channel();
+        // HIT 1 = a[0..50], HIT 2 = a[50..100] fails; a's last 20 objects
+        // are dropped, so HIT 3 carries only b's 30 objects.
+        let a = queue_round(&handle, ids[..120].to_vec());
+        let b = queue_round(&handle, ids[150..180].to_vec());
+        drop(handle);
+        let mut source = FailsHit {
+            inner: PerfectSource::new(&t),
+            fail_hit: 2,
+            hits: 0,
+        };
+        let stats = run_dispatcher(&mut source, rx, &batch_of_50());
+        assert_eq!(source.hits, 3);
+        assert_eq!(stats.point_hits, 2);
+        assert_eq!(stats.points_served, 80);
+        let (a_labels, a_err) = labels_of(a.recv().unwrap());
+        assert_eq!(
+            a_labels,
+            ids[..50]
+                .iter()
+                .map(|o| t.labels_of(*o))
+                .collect::<Vec<_>>(),
+            "only the chunks before the failure"
+        );
+        assert!(matches!(a_err, Some(AskError::SourceFailed(_))));
+        let (b_labels, b_err) = labels_of(b.recv().unwrap());
+        assert!(b_err.is_none());
+        assert_eq!(b_labels.len(), 30);
     }
 
     #[test]

@@ -142,6 +142,12 @@ impl GlobalBudget {
         *spend = next;
         Ok(())
     }
+
+    /// Returns `points` charged labels that were never delivered.
+    fn refund_points(&self, points: u64) {
+        let mut spend = self.lock();
+        spend.point_labels = spend.point_labels.saturating_sub(points);
+    }
 }
 
 /// One job's view of the budget: its own cap plus the shared global ledger.
@@ -216,6 +222,25 @@ impl JobBudget {
         *spend = next;
         Ok(())
     }
+
+    /// Charges point labels one at a time, in order, until a cap refuses
+    /// one: the number admitted, and the refusal if there was one.
+    fn charge_points(&self, count: usize) -> (usize, Option<AskError>) {
+        for admitted in 0..count {
+            if let Err(refusal) = self.charge(0, 1) {
+                return (admitted, Some(refusal));
+            }
+        }
+        (count, None)
+    }
+
+    /// Returns `points` charged labels that were never delivered, on both
+    /// ledgers.
+    fn refund_points(&self, points: u64) {
+        let mut spend = self.lock();
+        spend.point_labels = spend.point_labels.saturating_sub(points);
+        self.global.refund_points(points);
+    }
 }
 
 /// Wraps a job's connection to the platform with budget enforcement. Sits
@@ -251,6 +276,59 @@ impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
     ) -> Result<bool, AskError> {
         self.budget.charge(0, 1)?;
         self.inner.try_answer_membership(object, target)
+    }
+
+    /// Charges the round object by object, in order, forwards the admitted
+    /// prefix in one inner round and then returns the refusal — so at any
+    /// cap the spend and the delivered prefix equal one-at-a-time asking.
+    fn try_answer_point_labels_many(
+        &mut self,
+        objects: &[ObjectId],
+        out: &mut Vec<Labels>,
+    ) -> Result<(), AskError> {
+        let (admitted, refusal) = self.budget.charge_points(objects.len());
+        let before = out.len();
+        let forwarded = self
+            .inner
+            .try_answer_point_labels_many(&objects[..admitted], out);
+        self.settle(admitted, out.len() - before, forwarded, refusal)
+    }
+
+    fn try_answer_memberships(
+        &mut self,
+        objects: &[ObjectId],
+        target: &Target,
+        out: &mut Vec<bool>,
+    ) -> Result<(), AskError> {
+        let (admitted, refusal) = self.budget.charge_points(objects.len());
+        let before = out.len();
+        let forwarded = self
+            .inner
+            .try_answer_memberships(&objects[..admitted], target, out);
+        self.settle(admitted, out.len() - before, forwarded, refusal)
+    }
+}
+
+impl<S> GovernedSource<S> {
+    /// Closes a forwarded round: when the inner source failed after
+    /// `answered` of the `admitted` objects, the objects behind the failed
+    /// one were never delivered and their charge is returned — the failed
+    /// question itself stays charged, as on the one-at-a-time path.
+    fn settle(
+        &self,
+        admitted: usize,
+        answered: usize,
+        forwarded: Result<(), AskError>,
+        refusal: Option<AskError>,
+    ) -> Result<(), AskError> {
+        if let Err(error) = forwarded {
+            let undelivered = admitted.saturating_sub(answered + 1);
+            if undelivered > 0 {
+                self.budget.refund_points(undelivered as u64);
+            }
+            return Err(error);
+        }
+        refusal.map_or(Ok(()), Err)
     }
 }
 
@@ -321,6 +399,83 @@ mod tests {
         }
         // The refused question was not charged.
         assert_eq!(budget.tasks_spent(), 2);
+    }
+
+    #[test]
+    fn round_under_any_cap_matches_one_at_a_time() {
+        let t = truth(200, 40);
+        let ids = t.all_ids();
+        for cap in 0..5u64 {
+            let round_budget = JobBudget::new(Some(cap), GlobalBudget::new(None, 50));
+            let mut round = GovernedSource::new(PerfectSource::new(&t), round_budget.clone());
+            let mut got = Vec::new();
+            let round_result = round.try_answer_point_labels_many(&ids, &mut got);
+
+            let single_budget = JobBudget::new(Some(cap), GlobalBudget::new(None, 50));
+            let mut single = GovernedSource::new(PerfectSource::new(&t), single_budget.clone());
+            let mut want = Vec::new();
+            let mut single_result = Ok(());
+            for id in &ids {
+                match single.try_answer_point_labels(*id) {
+                    Ok(l) => want.push(l),
+                    Err(e) => {
+                        single_result = Err(e);
+                        break;
+                    }
+                }
+            }
+            assert_eq!(got, want, "cap {cap}");
+            assert_eq!(round_result, single_result, "cap {cap}");
+            assert_eq!(round_budget.ledger(), single_budget.ledger(), "cap {cap}");
+            assert_eq!(got.len() as u64, (cap * 50).min(200));
+        }
+    }
+
+    /// Refuses point questions from the `fail_at`-th on.
+    struct FailsAt<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        fail_at: usize,
+        asked: usize,
+    }
+
+    impl AnswerSource for FailsAt<'_> {
+        fn try_answer_set(&mut self, o: &[ObjectId], t: &Target) -> Result<bool, AskError> {
+            self.inner.try_answer_set(o, t)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.asked += 1;
+            if self.asked > self.fail_at {
+                return Err(AskError::SourceFailed("down".into()));
+            }
+            self.inner.try_answer_point_labels(object)
+        }
+    }
+
+    #[test]
+    fn failed_round_keeps_only_the_one_at_a_time_charge() {
+        let t = truth(100, 10);
+        let ids = t.all_ids();
+        let global = GlobalBudget::new(None, 1);
+        let budget = JobBudget::new(None, Arc::clone(&global));
+        let mut src = GovernedSource::new(
+            FailsAt {
+                inner: PerfectSource::new(&t),
+                fail_at: 6,
+                asked: 0,
+            },
+            budget.clone(),
+        );
+        let mut out = Vec::new();
+        let err = src
+            .try_answer_memberships(&ids[..40], &female(), &mut out)
+            .unwrap_err();
+        assert!(matches!(err, AskError::SourceFailed(_)));
+        assert_eq!(out, vec![true; 6]);
+        // Six answered plus the failed seventh, as asking one at a time
+        // would have charged; the 33 never asked are refunded.
+        assert_eq!(budget.tasks_spent(), 7);
+        assert_eq!(global.tasks_spent(), 7);
     }
 
     #[test]

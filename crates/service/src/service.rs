@@ -768,3 +768,215 @@ fn execute_algorithm<S: ForkableSource>(
         .map_err(|i| i.map_partial(AuditOutcome::Classifier)),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::governor::GlobalBudget;
+    use coverage_core::engine::{AnswerSource, GroundTruth, ObjectId, PerfectSource};
+    use coverage_core::memo::{KnowledgeStore, SharedKnowledgeSource};
+    use coverage_core::prelude::*;
+    use proptest::prelude::*;
+
+    /// A pass-through that implements only the single-question methods, so
+    /// every round the engine asks through it runs the sequential default
+    /// bodies of [`AnswerSource`] — the reference the round path must match.
+    #[derive(Debug)]
+    struct OneAtATime<S>(S);
+
+    impl<S: AnswerSource> AnswerSource for OneAtATime<S> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.0.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.0.try_answer_point_labels(object)
+        }
+
+        fn try_answer_membership(
+            &mut self,
+            object: ObjectId,
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.0.try_answer_membership(object, target)
+        }
+    }
+
+    impl<S: ForkableSource> ForkableSource for OneAtATime<S> {
+        fn fork(&self) -> Self {
+            Self(self.0.fork())
+        }
+
+        fn join(&mut self, forked: Self) {
+            self.0.join(forked.0);
+        }
+    }
+
+    fn synth_truth(n_total: usize, density_pct: u64, seed: u64) -> VecGroundTruth {
+        let mut state = seed.wrapping_mul(2654435761).wrapping_add(12345);
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        VecGroundTruth::new(
+            (0..n_total)
+                .map(|_| {
+                    let a = u8::from(next() % 100 < density_pct);
+                    let b = u8::from(next() % 100 < 50);
+                    Labels::new(&[a, b])
+                })
+                .collect(),
+        )
+    }
+
+    /// One spec per driver over the whole pool.
+    fn five_drivers(truth: &VecGroundTruth, tau: usize, n: usize, seed: u64) -> Vec<JobSpec> {
+        let pool = truth.all_ids();
+        let female = Target::group(Pattern::parse("1X").unwrap());
+        let predicted: Vec<ObjectId> = pool
+            .iter()
+            .copied()
+            .filter(|o| female.matches(&truth.labels_of(*o)))
+            .take(3 * tau)
+            .collect();
+        let schema = AttributeSchema::new(vec![
+            Attribute::binary("gender", "male", "female").unwrap(),
+            Attribute::binary("skin", "light", "dark").unwrap(),
+        ])
+        .unwrap();
+        let groups = vec![Pattern::parse("0X").unwrap(), Pattern::parse("1X").unwrap()];
+        [
+            AuditKind::BaseCoverage {
+                target: female.clone(),
+            },
+            AuditKind::GroupCoverage {
+                target: female.clone(),
+            },
+            AuditKind::MultipleCoverage { groups },
+            AuditKind::IntersectionalCoverage { schema },
+            AuditKind::ClassifierCoverage {
+                target: female,
+                predicted,
+            },
+        ]
+        .into_iter()
+        .map(|kind| {
+            JobSpec::new("rounds", pool.clone(), kind)
+                .tau(tau)
+                .n(n)
+                .seed(seed)
+        })
+        .collect()
+    }
+
+    /// Everything a budget cut may not change: the outcome (or partial
+    /// outcome and error) as JSON, the logical ledger, the crowd spend and
+    /// the reuse tallies.
+    type Observed = (String, TaskLedger, u64, ReuseStats, ReuseStats);
+
+    /// Runs `spec` under a per-job cap of `cap` tasks, with the label of
+    /// every `known_every`-th object (from object 0) already in the store,
+    /// as if bought by an earlier job, so rounds mix known and fresh
+    /// objects.
+    fn run_capped(
+        spec: &JobSpec,
+        truth: &VecGroundTruth,
+        cap: u64,
+        batch: usize,
+        known_every: usize,
+        sequential: bool,
+    ) -> Observed {
+        let budget = JobBudget::new(Some(cap), GlobalBudget::new(None, batch));
+        let stack = SharedKnowledgeSource::new(GovernedSource::new(
+            PerfectSource::new(truth),
+            budget.clone(),
+        ));
+        let mut known = KnowledgeStore::new();
+        for object in truth.ids().step_by(known_every) {
+            known.record_labels(object, truth.labels_of(object));
+        }
+        stack.seed_store(&known);
+        let render = |result: Result<AuditOutcome, Interrupted<AuditOutcome>>| match result {
+            Ok(outcome) => serde_json::to_string(&outcome).unwrap(),
+            Err(Interrupted { error, partial }) => {
+                format!("{error} | {}", serde_json::to_string(&partial).unwrap())
+            }
+        };
+        let serial = IntraJobParallelism::SERIAL;
+        if sequential {
+            let mut engine = Engine::with_point_batch(OneAtATime(stack), spec.n);
+            let json = render(execute_algorithm(spec, &mut engine, serial));
+            let source = &engine.source().0;
+            (
+                json,
+                *engine.ledger(),
+                budget.tasks_spent(),
+                source.local_reuse_stats(),
+                source.reuse_stats(),
+            )
+        } else {
+            let mut engine = Engine::with_point_batch(stack, spec.n);
+            let json = render(execute_algorithm(spec, &mut engine, serial));
+            let source = engine.source();
+            (
+                json,
+                *engine.ledger(),
+                budget.tasks_spent(),
+                source.local_reuse_stats(),
+                source.reuse_stats(),
+            )
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Budget cuts mid-round: under any per-job cap, every driver asked
+        /// in rounds ends exactly where asking one question at a time
+        /// ends — same outcome JSON, ledger, crowd spend and reuse stats.
+        /// Point batches of 1–3 make each label a sizeable share of a task,
+        /// so caps land inside Base-Coverage's τ − cnt rounds.
+        #[test]
+        fn budget_cut_rounds_match_sequential(
+            n_total in 20usize..240,
+            density_pct in 5u64..60,
+            tau in 1usize..30,
+            n in 1usize..40,
+            batch in 1usize..4,
+            cap in 0u64..41,
+            known_every in 2usize..12,
+            seed in 0u64..1000,
+        ) {
+            let truth = synth_truth(n_total, density_pct, seed);
+            for spec in five_drivers(&truth, tau, n, seed) {
+                let rounds = run_capped(&spec, &truth, cap, batch, known_every, false);
+                let sequential = run_capped(&spec, &truth, cap, batch, known_every, true);
+                prop_assert_eq!(&rounds, &sequential, "driver {}", spec.kind.name());
+            }
+        }
+    }
+
+    #[test]
+    fn base_coverage_cut_inside_a_round_matches_sequential() {
+        // 100 members in 200 objects at τ = 30: the first round asks
+        // objects 0..30, object 0 is already known, and a cap of 17
+        // single-label tasks cuts the round after object 17.
+        let truth = VecGroundTruth::new(
+            (0..200u32)
+                .map(|i| Labels::new(&[u8::from(i % 2 == 0), 0]))
+                .collect(),
+        );
+        let spec = five_drivers(&truth, 30, 10, 1).remove(0);
+        let rounds = run_capped(&spec, &truth, 17, 1, 50, false);
+        assert_eq!(rounds, run_capped(&spec, &truth, 17, 1, 50, true));
+        assert_eq!(rounds.2, 17, "spend stops at the cap");
+        assert_eq!(rounds.1.point_tasks(), 18, "the known object is free");
+        assert!(rounds.0.starts_with("budget exhausted"), "{}", rounds.0);
+    }
+}
