@@ -570,32 +570,11 @@ impl<S: AnswerSource> Engine<S> {
         Ok(ans)
     }
 
-    /// Labels a single object as its own task (used by `Base-Coverage`-style
-    /// single-object HITs).
-    pub fn ask_point_labels_single(&mut self, object: ObjectId) -> Result<Labels, AskError> {
-        self.checkpoint()?;
-        let labels = self.source.try_answer_point_labels(object)?;
-        self.ledger.record_point_work(1, 1);
-        Ok(labels)
-    }
-
-    /// Yes/no membership question about a single object (one task).
-    pub fn ask_membership_single(
-        &mut self,
-        object: ObjectId,
-        target: &Target,
-    ) -> Result<bool, AskError> {
-        self.checkpoint()?;
-        let ans = self.source.try_answer_membership(object, target)?;
-        self.ledger.record_point_work(1, 1);
-        Ok(ans)
-    }
-
     /// Asks one round of yes/no membership questions, one per object, in a
     /// single [`AnswerSource::try_answer_memberships`] call. Each delivered
-    /// answer is recorded as its own single-object task, exactly as
-    /// [`ask_membership_single`](Self::ask_membership_single) would record
-    /// it; only the number of dispatch rounds differs.
+    /// answer is recorded as its own single-object task (the paper's
+    /// `Base-Coverage` HIT shape), so a round of `k` answers costs what `k`
+    /// one-object rounds would; only the number of dispatch rounds differs.
     ///
     /// # Errors
     /// On a failure the [`Interrupted`] partial holds the answers for the
@@ -718,11 +697,17 @@ mod tests {
         let truth = truth_with_minority(4, 2);
         let target = Target::group(Pattern::parse("1").unwrap());
         let mut engine = Engine::new(PerfectSource::new(&truth));
-        assert!(engine.ask_membership_single(ObjectId(0), &target).unwrap());
-        assert!(!engine.ask_membership_single(ObjectId(3), &target).unwrap());
         assert_eq!(
-            engine.ask_point_labels_single(ObjectId(1)).unwrap(),
-            Labels::single(1)
+            engine.ask_memberships(&[ObjectId(0)], &target).unwrap(),
+            vec![true]
+        );
+        assert_eq!(
+            engine.ask_memberships(&[ObjectId(3)], &target).unwrap(),
+            vec![false]
+        );
+        assert_eq!(
+            engine.ask_point_labels_batched(&[ObjectId(1)]).unwrap(),
+            vec![Labels::single(1)]
         );
         assert_eq!(engine.ledger().point_tasks(), 3);
         assert_eq!(engine.ledger().point_labels(), 3);
@@ -772,12 +757,15 @@ mod tests {
         token.cancel();
         assert_eq!(engine.ask_set(&ids, &target), Err(AskError::Cancelled));
         assert_eq!(
-            engine.ask_point_labels_single(ObjectId(0)),
+            engine.ask_point_labels_batched(&[ObjectId(0)]),
             Err(AskError::Cancelled)
         );
         assert_eq!(
-            engine.ask_membership_single(ObjectId(0), &target),
-            Err(AskError::Cancelled)
+            engine.ask_memberships(&[ObjectId(0)], &target),
+            Err(Interrupted {
+                error: AskError::Cancelled,
+                partial: Vec::new()
+            })
         );
         assert_eq!(
             engine.ask_point_labels_batched(&ids),
@@ -848,8 +836,11 @@ mod tests {
         assert_eq!(engine.ledger().total_tasks(), 2);
         // The refused question itself was never charged.
         assert!(matches!(
-            engine.ask_membership_single(ObjectId(0), &target),
-            Err(AskError::SourceFailed(_))
+            engine.ask_memberships(&[ObjectId(0)], &target),
+            Err(Interrupted {
+                error: AskError::SourceFailed(_),
+                ..
+            })
         ));
         assert_eq!(engine.ledger().total_tasks(), 2);
     }
@@ -929,7 +920,7 @@ mod tests {
     fn reset_ledger_zeroes() {
         let truth = truth_with_minority(2, 1);
         let mut engine = Engine::new(PerfectSource::new(&truth));
-        engine.ask_point_labels_single(ObjectId(0)).unwrap();
+        engine.ask_point_labels_batched(&[ObjectId(0)]).unwrap();
         engine.reset_ledger();
         assert_eq!(engine.ledger().total_tasks(), 0);
     }

@@ -1217,30 +1217,66 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
         Ok(target.matches(&labels))
     }
 
-    /// Sorts the round, in input order, into objects the store knows,
-    /// objects another handle has in flight and objects this handle claims;
-    /// forwards every claimed object to the inner source in **one** round,
-    /// commits the answered ones, releases the rest (waking their waiters)
-    /// and delivers the answered prefix. In-flight objects are waited out
-    /// through the single path, in their input position.
+    /// Answers the round in runs. Each run sorts the objects, in input
+    /// order, into objects the store knows and objects this handle claims,
+    /// up to the first object another handle has in flight; forwards the
+    /// claimed objects to the inner source in **one** round, commits the
+    /// answered ones, releases the rest (waking their waiters) and delivers
+    /// the answered prefix. The in-flight object is then waited out through
+    /// the single path before anything behind it is claimed, so when that
+    /// other flight fails this handle re-asks the object before it pays for
+    /// the objects behind it, as asking one object at a time would.
     ///
     /// Hits are counted only for delivered objects, and a repeated object
-    /// is forwarded once and then a hit — so a single-threaded round
-    /// leaves the same answers, spend and [`ReuseStats`] as asking one
-    /// object at a time. Classification takes each object's shard lock in
-    /// input order, so the forwarded order is the same whatever the shard
-    /// count.
+    /// is forwarded once and then a hit — so a round leaves the same
+    /// answers, spend and [`ReuseStats`] as asking one object at a time.
+    /// Classification takes each object's shard lock in input order, so
+    /// the forwarded order is the same whatever the shard count.
     fn try_answer_point_labels_many(
         &mut self,
         objects: &[ObjectId],
         out: &mut Vec<Labels>,
     ) -> Result<(), AskError> {
+        let mut start = 0;
+        while start < objects.len() {
+            start += self.forward_run(&objects[start..], out)?;
+            if let Some(&object) = objects.get(start) {
+                out.push(self.try_answer_point_labels(object)?);
+                start += 1;
+            }
+        }
+        Ok(())
+    }
+
+    fn try_answer_memberships(
+        &mut self,
+        objects: &[ObjectId],
+        target: &Target,
+        out: &mut Vec<bool>,
+    ) -> Result<(), AskError> {
+        // Through the label facts, as the single membership path goes.
+        let mut labels = Vec::with_capacity(objects.len());
+        let result = self.try_answer_point_labels_many(objects, &mut labels);
+        out.extend(labels.iter().map(|l| target.matches(l)));
+        result
+    }
+}
+
+impl<S: AnswerSource> SharedKnowledgeSource<S> {
+    /// One run of [`AnswerSource::try_answer_point_labels_many`]: answers
+    /// `objects` up to the first one another handle has in flight, with
+    /// every claimed object forwarded in one inner round, and returns how
+    /// many input positions it delivered.
+    fn forward_run(
+        &mut self,
+        objects: &[ObjectId],
+        out: &mut Vec<Labels>,
+    ) -> Result<usize, AskError> {
         /// Where one input position's answer comes from.
         enum Slot {
             Known(Labels),
             /// Index into the claimed objects; `true` for a repeat.
             Claimed(usize, bool),
-            Elsewhere(ObjectId),
         }
         let shared = Arc::clone(&self.shared);
         let mut slots = Vec::with_capacity(objects.len());
@@ -1255,7 +1291,8 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
             } else if state.label_in_flight.contains(object) {
                 match claimed.iter().position(|c| c == object) {
                     Some(k) => Slot::Claimed(k, true),
-                    None => Slot::Elsewhere(*object),
+                    // In flight elsewhere: the run ends here.
+                    None => break,
                 }
             } else {
                 state.label_in_flight.insert(*object);
@@ -1301,7 +1338,7 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
         };
 
         let mut hits = 0u64;
-        let mut result = Ok(());
+        let mut result = Ok(slots.len());
         for slot in slots {
             let labels = match slot {
                 Slot::Known(l) => {
@@ -1320,30 +1357,10 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
                         break;
                     }
                 },
-                Slot::Elsewhere(object) => match self.try_answer_point_labels(object) {
-                    Ok(l) => l,
-                    Err(error) => {
-                        result = Err(error);
-                        break;
-                    }
-                },
             };
             out.push(labels);
         }
         self.record_hits(hits);
-        result
-    }
-
-    fn try_answer_memberships(
-        &mut self,
-        objects: &[ObjectId],
-        target: &Target,
-        out: &mut Vec<bool>,
-    ) -> Result<(), AskError> {
-        // Through the label facts, as the single membership path goes.
-        let mut labels = Vec::with_capacity(objects.len());
-        let result = self.try_answer_point_labels_many(objects, &mut labels);
-        out.extend(labels.iter().map(|l| target.matches(l)));
         result
     }
 }
@@ -1829,6 +1846,42 @@ mod tests {
             for shard in &batched.shared.fact_shards {
                 assert!(shard.lock().label_in_flight.is_empty());
             }
+        }
+    }
+
+    /// An object another handle has in flight is waited out before anything
+    /// behind it is claimed: when that flight fails, the round re-asks the
+    /// object ahead of the later ones, so at a spend cap it delivers the
+    /// prefix one-at-a-time asking delivers and pays for nothing else.
+    #[test]
+    fn failed_flight_elsewhere_is_reasked_before_later_objects() {
+        let t = truth(10, 3);
+        let ids = t.all_ids();
+        let mut src = SharedKnowledgeSource::new(Capped {
+            inner: PerfectSource::new(&t),
+            allow: 2,
+        });
+        let held = ids[1];
+        let shared = Arc::clone(&src.shared);
+        shared.fact_shard(held).lock().label_in_flight.insert(held);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // The other handle's flight for `held` fails and releases it.
+                std::thread::sleep(std::time::Duration::from_millis(40));
+                let shard = shared.fact_shard(held);
+                shard.lock().label_in_flight.remove(&held);
+                shard.ready.notify_all();
+            });
+            let mut out = Vec::new();
+            let result = src.try_answer_point_labels_many(&ids[..3], &mut out);
+            assert!(matches!(result, Err(AskError::SourceFailed(_))));
+            // ids[0] and the re-asked ids[1] spend the cap; ids[2] is refused.
+            assert_eq!(out, vec![t.labels_of(ids[0]), t.labels_of(ids[1])]);
+        });
+        assert_eq!(src.inner().allow, 0);
+        assert_eq!(src.local_reuse_stats().forwarded, 2);
+        for shard in &shared.fact_shards {
+            assert!(shard.lock().label_in_flight.is_empty());
         }
     }
 

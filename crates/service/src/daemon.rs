@@ -935,11 +935,12 @@ fn worker_loop(context: WorkerContext) {
             let mut state = context.shared.lock();
             loop {
                 if let Some(index) = state.queue.pop() {
-                    // Every queued job still holds its spec; only a
-                    // published report drops it.
-                    let Some(spec) = state.jobs[index].spec.clone() else {
-                        continue;
-                    };
+                    // Only a published report drops a job's spec, and a
+                    // job is queued once, before it runs.
+                    let spec = state.jobs[index]
+                        .spec
+                        .clone()
+                        .expect("queued job holds its spec");
                     // A job cancelled while queued must never be observed
                     // `Running` — the documented contract is that it
                     // reports `Cancelled` without running (`run_job` sees

@@ -281,6 +281,12 @@ impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
     /// Charges the round object by object, in order, forwards the admitted
     /// prefix in one inner round and then returns the refusal — so at any
     /// cap the spend and the delivered prefix equal one-at-a-time asking.
+    /// When the inner source fails partway, the objects behind the failed
+    /// one were never delivered and their charge is returned; the failed
+    /// question itself stays charged, as on the one-at-a-time path.
+    ///
+    /// Membership rounds keep the default body: the shared knowledge store
+    /// above this layer answers them through this labels round.
     fn try_answer_point_labels_many(
         &mut self,
         objects: &[ObjectId],
@@ -288,40 +294,11 @@ impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
     ) -> Result<(), AskError> {
         let (admitted, refusal) = self.budget.charge_points(objects.len());
         let before = out.len();
-        let forwarded = self
+        if let Err(error) = self
             .inner
-            .try_answer_point_labels_many(&objects[..admitted], out);
-        self.settle(admitted, out.len() - before, forwarded, refusal)
-    }
-
-    fn try_answer_memberships(
-        &mut self,
-        objects: &[ObjectId],
-        target: &Target,
-        out: &mut Vec<bool>,
-    ) -> Result<(), AskError> {
-        let (admitted, refusal) = self.budget.charge_points(objects.len());
-        let before = out.len();
-        let forwarded = self
-            .inner
-            .try_answer_memberships(&objects[..admitted], target, out);
-        self.settle(admitted, out.len() - before, forwarded, refusal)
-    }
-}
-
-impl<S> GovernedSource<S> {
-    /// Closes a forwarded round: when the inner source failed after
-    /// `answered` of the `admitted` objects, the objects behind the failed
-    /// one were never delivered and their charge is returned — the failed
-    /// question itself stays charged, as on the one-at-a-time path.
-    fn settle(
-        &self,
-        admitted: usize,
-        answered: usize,
-        forwarded: Result<(), AskError>,
-        refusal: Option<AskError>,
-    ) -> Result<(), AskError> {
-        if let Err(error) = forwarded {
+            .try_answer_point_labels_many(&objects[..admitted], out)
+        {
+            let answered = out.len() - before;
             let undelivered = admitted.saturating_sub(answered + 1);
             if undelivered > 0 {
                 self.budget.refund_points(undelivered as u64);
@@ -468,10 +445,10 @@ mod tests {
         );
         let mut out = Vec::new();
         let err = src
-            .try_answer_memberships(&ids[..40], &female(), &mut out)
+            .try_answer_point_labels_many(&ids[..40], &mut out)
             .unwrap_err();
         assert!(matches!(err, AskError::SourceFailed(_)));
-        assert_eq!(out, vec![true; 6]);
+        assert_eq!(out, vec![Labels::single(1); 6]);
         // Six answered plus the failed seventh, as asking one at a time
         // would have charged; the 33 never asked are refunded.
         assert_eq!(budget.tasks_spent(), 7);
