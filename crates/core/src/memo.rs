@@ -1854,7 +1854,7 @@ mod tests {
     /// object ahead of the later ones, so at a spend cap it delivers the
     /// prefix one-at-a-time asking delivers and pays for nothing else.
     #[test]
-    fn failed_flight_elsewhere_is_reasked_before_later_objects() {
+    fn round_reasks_a_failed_flight_elsewhere_before_later_objects() {
         let t = truth(10, 3);
         let ids = t.all_ids();
         let mut src = SharedKnowledgeSource::new(Capped {
