@@ -7,21 +7,21 @@
 //! 8 store shards, the same simulated platform round-trip), so the only
 //! measured variable is fleet parallelism. The shards are disjoint, so
 //! the crowd bill may grow by at most one pool-independent question per
-//! extra node — pinned as an assertion — and
-//! the instrumented run records the `{m, wall_ms, crowd_tasks}` curve as
-//! the `fleet_bench` section of `results/BENCH_fleet.json`, with the
-//! M=4-beats-single-node headline asserted.
+//! extra node — pinned as an assertion — and the M=4 fleet must beat the
+//! single node on wall-clock. The `{m, wall_ms, crowd_tasks}` curve goes
+//! to stdout.
+//!
+//! ```sh
+//! cargo bench -q -p cvg-bench --bench fleet
+//! ```
 
 use coverage_core::prelude::*;
 use coverage_service::fleet::{FleetJobId, FleetNode, FleetRouter, HashRing};
 use coverage_service::{AuditKind, JobSpec, JobStatus, ServiceConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
-use cvg_bench::report::{bench_fleet_path, json_object, update_json_report};
 use cvg_bench::scenarios::{giant_audit_counts, giant_audit_schema};
 use dataset_sim::Dataset;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::Value;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -125,22 +125,15 @@ fn run_fleet(data: &Arc<Dataset>, m: usize) -> (u64, u64) {
     (wall_ms, spend)
 }
 
-/// Not a timing benchmark in the Criterion sense: one instrumented run
-/// per fleet size, recorded as the `fleet_bench` section of
-/// `results/BENCH_fleet.json`, with the spend and wall-clock invariants
-/// asserted.
-fn emit_fleet_report(_c: &mut Criterion) {
+/// One run per fleet size, each timed around its submit→drain window
+/// only, with the spend and wall-clock invariants asserted.
+fn main() {
     let data = Arc::new(dataset());
-    let mut rows = Vec::new();
     let mut walls = Vec::new();
     let mut spends = Vec::new();
     for m in FLEETS {
         let (wall_ms, crowd_tasks) = run_fleet(&data, m);
-        rows.push(json_object(vec![
-            ("m", Value::UInt(m as u64)),
-            ("wall_ms", Value::UInt(wall_ms)),
-            ("crowd_tasks", Value::UInt(crowd_tasks)),
-        ]));
+        println!("fleet m={m}: wall {wall_ms} ms, {crowd_tasks} crowd tasks");
         walls.push(wall_ms);
         spends.push(crowd_tasks);
     }
@@ -163,28 +156,9 @@ fn emit_fleet_report(_c: &mut Criterion) {
         walls[FLEETS.len() - 1] < walls[0],
         "the 4-node fleet must beat the single node: {walls:?}"
     );
-
-    let section = json_object(vec![
-        ("pool", Value::UInt(data.all_ids().len() as u64)),
-        ("tau", Value::UInt(TAU as u64)),
-        ("shards", Value::UInt(SHARDS as u64)),
-        ("ring_replicas", Value::UInt(RING_REPLICAS as u64)),
-        ("fleets", Value::Array(rows)),
-    ]);
-    update_json_report(bench_fleet_path(), "fleet_bench", section).expect("write BENCH_fleet.json");
     println!(
-        "fleet: census giant audit wall {walls:?} ms at M={FLEETS:?}, \
-         spend {spends:?}, recorded in {}",
-        bench_fleet_path().display(),
+        "fleet: census giant audit ({} objects, tau {TAU}, {SHARDS} shards) wall {walls:?} ms \
+         at M={FLEETS:?}, spend {spends:?}",
+        data.all_ids().len(),
     );
 }
-
-// No wall-clock Criterion group: each arm is measured directly around the
-// one submit→drain window that matters, and the spend invariants are
-// correctness pins — re-sampling them adds no signal.
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = emit_fleet_report
-}
-criterion_main!(benches);

@@ -1,71 +1,29 @@
-//! HTTP connection-engine throughput and per-tenant QoS (ISSUE 8).
+//! HTTP connection-engine throughput.
 //!
-//! Two instrumented runs recorded in `results/BENCH_http.json`:
+//! The same `GET /stats` request stream is pushed through the daemon's
+//! front door three ways at the same worker count: a fresh
+//! `Connection: close` socket per request, one keep-alive connection
+//! served serially, and one keep-alive connection with pipelined batches.
+//! The keep-alive+pipelining mode must clear **2×** the close-per-request
+//! rate — that multiple is the whole point of the nonblocking engine, and
+//! a regression fails the bench. Both keep-alive modes must also actually
+//! reuse their connection.
 //!
-//! * **`http_throughput`** — the same `GET /stats` request stream pushed
-//!   through the daemon's front door three ways at the same worker count:
-//!   a fresh `Connection: close` socket per request, one keep-alive
-//!   connection served serially, and one keep-alive connection with
-//!   pipelined batches. The keep-alive+pipelining mode must clear **2×**
-//!   the close-per-request rate — that multiple is the whole point of the
-//!   nonblocking engine, and a regression fails the bench.
-//! * **`wfq_fairness`** — a 10-tenant, equal-priority load on one worker
-//!   with one tenant weighted 10×: the weighted tenant's p99 queue wait
-//!   must come in below every unweighted tenant's, while every tenant's
-//!   jobs still finish (shares, never starvation).
+//! ```sh
+//! cargo bench -q -p cvg-bench --bench http_plane
+//! ```
 
 use coverage_core::prelude::*;
 use coverage_service::http::{http_request, HttpClient, HttpServer};
-use coverage_service::{AuditDaemon, AuditKind, JobSpec, ServiceConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
-use cvg_bench::report::{bench_http_path, json_object, update_json_report};
-use serde::Value;
+use coverage_service::{AuditDaemon, ServiceConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-const SEED: u64 = 99;
 /// Requests per throughput mode. Small enough for the CI smoke, large
 /// enough that per-connection setup dominates the close-per-request mode.
 const REQUESTS: usize = 600;
 /// Pipelined requests written before any response is read.
 const PIPELINE_DEPTH: usize = 24;
-
-/// Deterministic single-attribute truth: ~6% minority.
-fn truth(n: usize) -> Arc<VecGroundTruth> {
-    let mut state = SEED;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    Arc::new(VecGroundTruth::new(
-        (0..n)
-            .map(|_| Labels::single(u8::from(next() % 100 < 6)))
-            .collect(),
-    ))
-}
-
-fn female() -> Target {
-    Target::group(Pattern::parse("1").unwrap())
-}
-
-fn serve(
-    config: ServiceConfig,
-    truth: &Arc<VecGroundTruth>,
-) -> (
-    Arc<AuditDaemon<SharedTruthSource<VecGroundTruth>>>,
-    HttpServer,
-    std::net::SocketAddr,
-) {
-    let daemon = Arc::new(AuditDaemon::start(
-        config,
-        SharedTruthSource::new(Arc::clone(truth)),
-    ));
-    let server = HttpServer::serve("127.0.0.1:0", Arc::clone(&daemon)).expect("bind");
-    let addr = server.local_addr();
-    (daemon, server, addr)
-}
 
 /// Requests per second over `REQUESTS` iterations of `run`.
 fn rate(requests: usize, run: impl FnOnce()) -> f64 {
@@ -75,15 +33,18 @@ fn rate(requests: usize, run: impl FnOnce()) -> f64 {
 }
 
 /// The three connection modes against one live daemon.
-fn throughput_section() -> Value {
-    let truth = truth(200);
-    let (daemon, server, addr) = serve(
+fn main() {
+    // `GET /stats` never reads the truth, so any small pool serves.
+    let truth = Arc::new(VecGroundTruth::new(vec![Labels::single(0); 200]));
+    let daemon = Arc::new(AuditDaemon::start(
         ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         },
-        &truth,
-    );
+        SharedTruthSource::new(truth),
+    ));
+    let server = HttpServer::serve("127.0.0.1:0", Arc::clone(&daemon)).expect("bind");
+    let addr = server.local_addr();
 
     // Mode 1: a fresh TCP connection per request (the PR 7 engine's only
     // mode) — connect, one request, close.
@@ -140,121 +101,4 @@ fn throughput_section() -> Value {
          keep-alive {keep_alive:.0} req/s, pipelined x{PIPELINE_DEPTH} {pipelined:.0} req/s \
          ({speedup:.1}x)"
     );
-    json_object(vec![
-        ("requests", Value::UInt(REQUESTS as u64)),
-        ("pipeline_depth", Value::UInt(PIPELINE_DEPTH as u64)),
-        ("close_per_request_rps", Value::Float(close_per_request)),
-        ("keep_alive_rps", Value::Float(keep_alive)),
-        ("pipelined_rps", Value::Float(pipelined)),
-        ("pipelined_vs_close_speedup", Value::Float(speedup)),
-    ])
 }
-
-/// Ten equal-priority tenants on one worker, one weighted 10×: the
-/// weighted tenant's p99 queue wait beats every unweighted tenant's.
-fn wfq_section() -> Value {
-    let truth = truth(8_000);
-    let pool = truth.all_ids();
-    let (daemon, server, _addr) = serve(
-        ServiceConfig {
-            workers: 1,
-            round_latency: Duration::from_millis(2),
-            tenant_weights: vec![("heavy".to_string(), 10)],
-            ..ServiceConfig::default()
-        },
-        &truth,
-    );
-
-    // No blocker: submitting 30 jobs takes microseconds while each job
-    // runs for tens of milliseconds, so beyond the very first dispatch the
-    // scheduler's pop order — not submission timing — determines every
-    // job's wait. Queue waits then measure pure position-in-queue, with no
-    // shared constant flattening the histogram buckets together.
-    let tenants: Vec<String> = (0..10)
-        .map(|i| {
-            if i == 0 {
-                "heavy".to_string()
-            } else {
-                format!("light-{i}")
-            }
-        })
-        .collect();
-    let slice = pool.len() / 30;
-    let mut ids = Vec::new();
-    for round in 0..3 {
-        for (t, tenant) in tenants.iter().enumerate() {
-            let k = round * tenants.len() + t;
-            ids.push(
-                daemon
-                    .submit(
-                        JobSpec::new(
-                            format!("{tenant}/job-{round}"),
-                            pool[k * slice..(k + 1) * slice].to_vec(),
-                            AuditKind::GroupCoverage { target: female() },
-                        )
-                        .tau(8)
-                        .seed(k as u64),
-                    )
-                    .expect("tenant spec"),
-            );
-        }
-    }
-    daemon.drain();
-    for id in &ids {
-        assert!(
-            daemon.report(*id).expect("report").status.is_done(),
-            "no tenant may starve"
-        );
-    }
-
-    let telemetry = daemon.telemetry();
-    let heavy_p99 = telemetry.tenant_queue_wait_percentile_ms("heavy", 99.0);
-    let light_p99: Vec<u64> = (1..10)
-        .map(|i| telemetry.tenant_queue_wait_percentile_ms(&format!("light-{i}"), 99.0))
-        .collect();
-    let light_best = *light_p99.iter().min().expect("nine light tenants");
-    let light_worst = *light_p99.iter().max().expect("nine light tenants");
-    server.shutdown();
-    daemon.shutdown().expect("shutdown");
-
-    assert!(
-        heavy_p99 < light_best,
-        "the 10x tenant must see the lowest p99 queue wait: \
-         heavy={heavy_p99}ms lights={light_p99:?}"
-    );
-    println!(
-        "wfq fairness (10 tenants, one 10x, 1 worker): heavy p99 {heavy_p99} ms, \
-         light p99 {light_best}..{light_worst} ms"
-    );
-    json_object(vec![
-        ("tenants", Value::UInt(10)),
-        ("heavy_weight", Value::UInt(10)),
-        ("jobs_per_tenant", Value::UInt(3)),
-        ("heavy_p99_queue_wait_ms", Value::UInt(heavy_p99)),
-        ("light_best_p99_queue_wait_ms", Value::UInt(light_best)),
-        ("light_worst_p99_queue_wait_ms", Value::UInt(light_worst)),
-    ])
-}
-
-/// Not a timing benchmark: two instrumented runs recorded as the
-/// `http_throughput` and `wfq_fairness` sections of
-/// `results/BENCH_http.json`, each with its own hard assertion — the 2×
-/// pipelining win and the weighted tenant's queue-wait win — so an engine
-/// or scheduler regression fails the bench, not just shifts a number.
-fn emit_http_report(_c: &mut Criterion) {
-    let path = bench_http_path();
-    update_json_report(&path, "http_throughput", throughput_section())
-        .expect("write BENCH_http.json");
-    update_json_report(&path, "wfq_fairness", wfq_section()).expect("write BENCH_http.json");
-    println!("recorded in {}", path.display());
-}
-
-// No wall-clock Criterion group: each mode times a fixed request count
-// itself, and the interesting outputs are the mode-vs-mode ratios and the
-// per-tenant split, both asserted above.
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = emit_http_report
-}
-criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out:
+//! Ablations over the reproduction's own design choices:
 //!
 //! 1. **Traversal order** — the paper's BFS queue vs a DFS stack: task
 //!    counts on covered and uncovered compositions.

@@ -16,7 +16,8 @@
 //!   low that the d&c would split down to fragments anyway.
 //!
 //! The decision threshold: Table 2 of the paper is only consistent with
-//! *partition when sample precision ≥ 0.75* (see DESIGN.md §2).
+//! *partition when sample precision ≥ 0.75*. The paper states no threshold;
+//! this one is read off Table 2's strategy column.
 
 use crate::engine::{AnswerSource, Engine, ObjectId};
 use crate::error::{require_positive_n, try_ask, Interrupted};

@@ -116,8 +116,8 @@ impl Deserialize for IntersectionalReport {
 /// subgroups). For sound upward propagation the default also forces
 /// `resolve_supergroup_members` on: without it, members of an uncovered
 /// super-group only carry lower-bound counts and an ancestor built from
-/// them could be misjudged; the paper's Algorithm 3 glosses over this —
-/// see DESIGN.md §5.
+/// them could be misjudged. The paper's Algorithm 3 glosses over this: it
+/// propagates counts upward without saying how exact they must be.
 ///
 /// # Panics
 /// Panics when `cfg.n == 0`.

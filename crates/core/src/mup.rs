@@ -22,8 +22,8 @@
 //! folds the coverage flags and the parent check together — no pattern is
 //! ever hashed. The historical `HashMap`-keyed implementation survives as
 //! [`mups_from_counts_baseline`], the reference the dense path is verified
-//! against (equivalence proptest below) and benchmarked against
-//! (`cvg-bench`'s `mup` bench and the `giant_audit` example).
+//! against (equivalence proptest below) and timed against (the
+//! `giant_audit` example).
 
 use crate::pattern::Pattern;
 use crate::pattern_graph::PatternGraph;
@@ -94,9 +94,8 @@ pub fn mups_from_counts(
 /// scans (O(patterns × full groups)) with patterns re-hashed as map keys.
 ///
 /// Kept as the reference implementation the dense path is proptested
-/// against, and as the baseline of the `mup` criterion bench and the
-/// `giant_audit` example — a regression in the dense path surfaces as the
-/// two timings converging.
+/// against, and as the timing baseline of the `giant_audit` example, which
+/// asserts that the dense path agrees with it and beats it.
 pub fn mups_from_counts_baseline(
     schema: &AttributeSchema,
     counts: &FullGroupCounts,
@@ -253,6 +252,29 @@ mod tests {
         assert_eq!(pattern_count(&graph, &counts, &female_x), 10);
         let root = Pattern::all_unspecified(2);
         assert_eq!(pattern_count(&graph, &counts, &root), 15);
+    }
+
+    /// Dense ids and the HashMap baseline agree on a wider lattice than
+    /// the proptest below draws: 5×5×5 values, 216 patterns, with every
+    /// seventh full group under τ so the MUP list is not empty.
+    #[test]
+    fn dense_equals_baseline_on_5x5x5() {
+        let schema = AttributeSchema::new(vec![
+            Attribute::new("a", ["0", "1", "2", "3", "4"]).unwrap(),
+            Attribute::new("b", ["0", "1", "2", "3", "4"]).unwrap(),
+            Attribute::new("c", ["0", "1", "2", "3", "4"]).unwrap(),
+        ])
+        .unwrap();
+        let graph = PatternGraph::new(&schema);
+        let counts: FullGroupCounts = graph
+            .full_groups()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (*p, if i % 7 == 0 { 12 } else { 80 + i % 40 }))
+            .collect();
+        let dense = mups_from_counts(&schema, &counts, 50);
+        assert!(!dense.is_empty());
+        assert_eq!(dense, mups_from_counts_baseline(&schema, &counts, 50));
     }
 
     proptest! {

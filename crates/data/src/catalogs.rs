@@ -1,7 +1,9 @@
 //! Simulacra of the exact dataset slices the paper evaluates on.
 //!
 //! The coverage algorithms never see pixels — only the latent composition
-//! and presentation order matter (DESIGN.md §4). Each constructor
+//! and presentation order matter, because every crowd answer is a function
+//! of an object's latent labels (see `docs/ARCHITECTURE.md`, `crates/data`).
+//! Each constructor
 //! reproduces the composition reported in the paper and shuffles with the
 //! caller's RNG.
 

@@ -8,7 +8,8 @@
 //! paper's HIT layout), serves the round's set queries as one batch, and
 //! replies. Questions from *different* jobs thus share HITs and — when a
 //! simulated platform round-trip latency is configured — share waiting
-//! time: the concurrency win the `service_throughput` bench measures.
+//! time: the concurrency win the `concurrent_audits` example reports as
+//! its serial-vs-concurrent speedup.
 //!
 //! ## How a round is assembled
 //!

@@ -94,10 +94,6 @@ struct Entry {
 /// which is what keeps a long-lived daemon's shares honest across jobs.
 #[derive(Debug)]
 struct TenantState {
-    /// The tenant's name — carried for diagnostics (`Debug` dumps of a
-    /// live queue identify who holds which finish tag).
-    #[allow(dead_code)]
-    name: String,
     weight: u64,
     /// Virtual time at which this tenant's last dispatched job "finishes".
     finish_tag: u64,
@@ -158,9 +154,8 @@ impl PriorityQueue {
             return id;
         }
         let id = self.tenants.len();
-        let weight = self.weights.get(tenant).copied().unwrap_or(1).max(1);
+        let weight = self.tenant_weight(tenant);
         self.tenants.push(TenantState {
-            name: tenant.to_string(),
             weight,
             finish_tag: 0,
         });
@@ -271,10 +266,8 @@ impl PriorityQueue {
         self.entries.is_empty()
     }
 
-    /// The configured weight of `tenant` (1 when unlisted) — surfaced for
-    /// stats/debugging.
-    #[allow(dead_code)]
-    pub(crate) fn tenant_weight(&self, tenant: &str) -> u64 {
+    /// The configured weight of `tenant` (1 when unlisted).
+    fn tenant_weight(&self, tenant: &str) -> u64 {
         self.weights.get(tenant).copied().unwrap_or(1).max(1)
     }
 }

@@ -21,11 +21,9 @@
 use coverage_core::prelude::*;
 use coverage_service::{AuditKind, AuditService, JobSpec, ServiceConfig};
 use crowd_sim::{MTurkSim, PoolConfig, QualityControl, WorkerPool};
-use cvg_bench::report::{bench_reuse_path, json_object, update_json_report};
 use dataset_sim::{Dataset, DatasetBuilder};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::Value;
 use std::time::Duration;
 
 const SEED: u64 = 2024;
@@ -254,36 +252,4 @@ fn main() {
         "the knowledge store must beat the exact-match baseline ({} vs {PR1_EXACT_MATCH_HITS})",
         shared_stats.hits_published,
     );
-
-    let section = json_object(vec![
-        ("tenants", Value::UInt(shared.jobs.len() as u64)),
-        (
-            "questions_asked",
-            Value::UInt(shared.total_logical.total_tasks()),
-        ),
-        ("crowd_tasks", Value::UInt(shared.crowd_tasks)),
-        (
-            "hits_published_shared",
-            Value::UInt(shared_stats.hits_published),
-        ),
-        ("hits_published_isolated", Value::UInt(isolated_hits)),
-        (
-            "hits_published_pr1_exact_match",
-            Value::UInt(PR1_EXACT_MATCH_HITS),
-        ),
-        (
-            "hits_saved_vs_pr1",
-            Value::UInt(PR1_EXACT_MATCH_HITS.saturating_sub(shared_stats.hits_published)),
-        ),
-        ("store_hits", Value::UInt(shared.reuse.hits)),
-        ("store_narrowed", Value::UInt(shared.reuse.narrowed)),
-        ("store_forwarded", Value::UInt(shared.reuse.forwarded)),
-        (
-            "store_objects_pruned",
-            Value::UInt(shared.reuse.objects_pruned),
-        ),
-    ]);
-    update_json_report(bench_reuse_path(), "concurrent_audits", section)
-        .expect("write BENCH_reuse.json");
-    println!("reuse metrics recorded in {}", bench_reuse_path().display());
 }

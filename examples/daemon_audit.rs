@@ -18,7 +18,7 @@
 //!    wall-clock and id) to the same specs run through the scoped
 //!    `AuditService::run` path;
 //! 6. measure submit-to-first-result latency of a priority-9 probe under
-//!    load (recorded in `results/BENCH_daemon.json`);
+//!    load;
 //! 7. read the run back through the telemetry plane — the human summary,
 //!    the Prometheus `/metrics` scrape and the cancelled job's `/trace`
 //!    timeline — then shut everything down cleanly;
@@ -36,7 +36,6 @@ use coverage_service::http::{http_request, HttpClient, HttpServer};
 use coverage_service::{
     AuditDaemon, AuditKind, AuditService, JobId, JobReport, JobSpec, ServiceConfig,
 };
-use cvg_bench::report::{bench_daemon_path, json_object, update_json_report};
 use dataset_sim::{binary_dataset, Placement};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -376,23 +375,4 @@ fn main() {
     export_server.shutdown();
     restarted.shutdown().expect("restarted daemon shuts down");
     std::fs::remove_dir_all(&data_dir).ok();
-
-    let section = json_object(vec![
-        ("jobs_total", Value::UInt(summary.jobs.len() as u64)),
-        ("probe_priority", Value::UInt(9)),
-        ("probe_background_jobs", Value::UInt(4)),
-        ("probe_first_result_ms", Value::UInt(probe_ms)),
-        (
-            "round_latency_us",
-            Value::UInt(ROUND_LATENCY.as_micros() as u64),
-        ),
-        ("crowd_tasks", Value::UInt(summary.crowd_tasks)),
-        ("store_hits", Value::UInt(summary.reuse.hits)),
-    ]);
-    update_json_report(bench_daemon_path(), "daemon_audit", section)
-        .expect("write BENCH_daemon.json");
-    println!(
-        "daemon metrics recorded in {}",
-        bench_daemon_path().display()
-    );
 }

@@ -10,7 +10,7 @@
 //!
 //! The tour closes with the dense-lattice `mups_from_counts` against the
 //! historical `HashMap`-keyed baseline on a 3-attribute schema — the dense
-//! path must win — and records everything in `results/BENCH_scaleout.json`.
+//! path must win.
 //!
 //! ```sh
 //! cargo run --release -p cvg-examples --bin giant_audit
@@ -20,12 +20,10 @@ use coverage_core::mup::FullGroupCounts;
 use coverage_core::prelude::*;
 use coverage_service::{AuditKind, AuditService, JobId, JobSpec, JobStatus, ServiceConfig};
 use crowd_sim::{MTurkSim, PoolConfig, QualityControl, WorkerPool};
-use cvg_bench::report::{bench_scaleout_path, json_object, update_json_report};
 use cvg_bench::scenarios::{giant_audit_counts, giant_audit_schema};
 use dataset_sim::{Dataset, DatasetBuilder};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use serde::Value;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 33;
@@ -192,34 +190,5 @@ fn main() {
         dense_ns as f64 / 1e6,
         hashmap_ns as f64 / 1e6,
         hashmap_ns as f64 / dense_ns.max(1) as f64,
-    );
-
-    let shard_rows: Vec<Value> = walls
-        .iter()
-        .map(|(shards, wall_ms)| {
-            json_object(vec![
-                ("shards", Value::UInt(*shards as u64)),
-                ("wall_ms", Value::UInt(*wall_ms)),
-            ])
-        })
-        .collect();
-    let section = json_object(vec![
-        ("objects", Value::UInt(data.len() as u64)),
-        ("cells", Value::UInt(giant_audit_counts().len() as u64)),
-        ("tau", Value::UInt(TAU as u64)),
-        ("shard_scaling", Value::Array(shard_rows)),
-        ("speedup_4_shards", Value::Str(format!("{speedup:.2}"))),
-        ("mups_dense_ns", Value::UInt(dense_ns)),
-        ("mups_hashmap_ns", Value::UInt(hashmap_ns)),
-        (
-            "mups_speedup",
-            Value::Str(format!("{:.2}", hashmap_ns as f64 / dense_ns.max(1) as f64)),
-        ),
-    ]);
-    update_json_report(bench_scaleout_path(), "giant_audit", section)
-        .expect("write BENCH_scaleout.json");
-    println!(
-        "scale-out metrics recorded in {}",
-        bench_scaleout_path().display()
     );
 }

@@ -174,6 +174,10 @@ proptest! {
         for (with, without) in chaotic.iter().zip(&clean) {
             prop_assert_eq!(with, without);
         }
+        // Transient faults never dead-letter a job: every one converges.
+        for job in &chaotic {
+            prop_assert!(job.contains("\"status\":\"Done\""), "{}", job);
+        }
         prop_assert_eq!(
             platform_chaotic, platform_clean,
             "faulted attempts must not consult (or charge) the platform; got {faults:?}"
@@ -330,4 +334,25 @@ fn open_breaker_is_visible_on_readiness_and_metrics() {
         "{rendered}"
     );
     daemon.shutdown().unwrap();
+}
+
+/// Low fault rates, pinned deterministically: at 0, 1, 5 and 20 % transient
+/// faults on one worker every job converges, and the platform is consulted
+/// exactly as often as in the fault-free run — chaos never buys extra
+/// crowd work.
+#[test]
+fn crowd_spend_is_flat_across_fault_rates() {
+    let (clean, platform_clean, _) = run(11, 20, 1, FaultPlan::off());
+    for rate in [1, 5, 20] {
+        let (chaotic, platform_chaotic, faults) = run(11, 20, 1, FaultPlan::transient(7, rate, 2));
+        assert!(faults.total() > 0, "no fault injected at {rate}%");
+        for job in &chaotic {
+            assert!(job.contains("\"status\":\"Done\""), "at {rate}%: {job}");
+        }
+        assert_eq!(chaotic, clean, "reports changed at {rate}% faults");
+        assert_eq!(
+            platform_chaotic, platform_clean,
+            "platform spend changed at {rate}% faults"
+        );
+    }
 }

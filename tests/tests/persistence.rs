@@ -214,6 +214,16 @@ fn run_on(
     ids.iter().map(|id| daemon.report(*id).unwrap()).collect()
 }
 
+/// Reads one counter off the daemon's Prometheus surface.
+fn counter(daemon: &AuditDaemon<SharedTruthSource<VecGroundTruth>>, name: &str) -> u64 {
+    daemon
+        .telemetry()
+        .render_prometheus()
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("`{name}` is not exported"))
+}
+
 /// Truncates the current-generation WAL to `permille`/1000 of its length —
 /// the crash injection. A mid-frame cut leaves a torn tail the next open
 /// must discard cleanly.
@@ -248,7 +258,17 @@ fn persistence_and_spill_never_change_a_report() {
     let dir = scratch_dir("observer");
     let (persisted, persisted_spend) = run_workload(&truth, &workload, Some(&dir), None);
     let spill_dir = scratch_dir("observer-spill");
-    let (spilled, spilled_spend) = run_workload(&truth, &workload, Some(&spill_dir), Some(64));
+    let spiller = start_daemon(&truth, Some(&spill_dir), Some(64));
+    let spilled = run_on(&spiller, &workload);
+    let spilled_spend = spiller.stats().crowd_tasks;
+    let spilled_labels = counter(&spiller, "audit_spilled_labels_total");
+    drop(spiller);
+    // Without an eviction the spill run is a plain persisted run, and the
+    // equalities below would hold vacuously.
+    assert!(
+        spilled_labels > 0,
+        "a 64-label watermark must evict at least one label"
+    );
 
     for ((a, b), c) in plain.iter().zip(&persisted).zip(&spilled) {
         assert_eq!(full_surface(a), full_surface(b), "WAL changed a report");
@@ -258,6 +278,22 @@ fn persistence_and_spill_never_change_a_report() {
     assert_eq!(plain_spend, spilled_spend, "spill must never re-buy a fact");
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&spill_dir);
+}
+
+/// The spill counter counts evictions, not writes: a persisted daemon
+/// with no watermark pays the crowd yet spills nothing, so the `> 0` in
+/// the spill run above is the watermark's doing.
+#[test]
+fn no_watermark_spills_no_label() {
+    let truth = Arc::new(synth_truth(2_000, 9, 41));
+    let workload = five_driver_workload(&truth);
+    let dir = scratch_dir("no-spill");
+    let daemon = start_daemon(&truth, Some(&dir), None);
+    run_on(&daemon, &workload);
+    assert!(daemon.stats().crowd_tasks > 0, "the run must pay the crowd");
+    assert_eq!(counter(&daemon, "audit_spilled_labels_total"), 0);
+    drop(daemon);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Satellite 3: `shutdown()` fsyncs the WAL and writes a final snapshot,
@@ -271,6 +307,11 @@ fn shutdown_then_restart_forwards_zero_questions() {
 
     let first = start_daemon(&truth, Some(&dir), None);
     let first_reports = run_on(&first, &workload);
+    // A first run that paid nothing would make the zero re-spend below vacuous.
+    assert!(
+        first.stats().crowd_tasks > 0,
+        "the first run must pay the crowd"
+    );
     let exported = first.export_store();
     first.shutdown().expect("first shutdown");
     assert!(
@@ -284,6 +325,10 @@ fn shutdown_then_restart_forwards_zero_questions() {
     );
 
     let second = start_daemon(&truth, Some(&dir), None);
+    assert!(
+        counter(&second, "audit_recovered_facts_total") > 0,
+        "recovery must load the fact base"
+    );
     assert_eq!(
         store_fingerprint(&second.export_store()),
         store_fingerprint(&exported),
@@ -360,15 +405,10 @@ fn snapshot_rotation_loses_nothing() {
         SharedTruthSource::new(Arc::clone(&truth)),
     );
     run_on(&first, &workload);
-    let metrics = first.telemetry().render_prometheus();
-    let snapshot_writes: u64 = metrics
-        .lines()
-        .find_map(|line| line.strip_prefix("audit_snapshot_writes_total "))
-        .and_then(|count| count.parse().ok())
-        .expect("the snapshot counter is exported");
+    let snapshot_writes = counter(&first, "audit_snapshot_writes_total");
     assert!(
         snapshot_writes >= 2,
-        "rotation must be exercised: {metrics}"
+        "rotation must be exercised: {snapshot_writes} snapshots"
     );
     let exported = first.export_store();
     drop(first); // crash: the last snapshot + its WAL must suffice

@@ -382,3 +382,52 @@ fn service_verdicts_match_ground_truth() {
         }
     }
 }
+
+/// Eight audits over disjoint slices of one pool share dispatch rounds but
+/// no facts, so nothing a schedule decides can reach a job: run serially
+/// and on eight workers, every job finishes with the same outcome, ledger
+/// and crowd spend.
+#[test]
+fn disjoint_audits_match_across_worker_counts() {
+    const JOBS: usize = 8;
+    const SLICE: usize = 300;
+    let mut rng = SmallRng::seed_from_u64(23);
+    let data = binary_dataset(JOBS * SLICE, JOBS * 45, Placement::Shuffled, &mut rng);
+    let pool = data.all_ids();
+    let run = |workers: usize| -> ServiceReport {
+        let mut service = AuditService::new(ServiceConfig {
+            workers,
+            ..ServiceConfig::default()
+        });
+        for (i, slice) in pool.chunks(SLICE).enumerate() {
+            service.submit(
+                JobSpec::new(
+                    format!("slice-{i}"),
+                    slice.to_vec(),
+                    AuditKind::GroupCoverage { target: female() },
+                )
+                .tau(30)
+                .n(25)
+                .seed(i as u64),
+            );
+        }
+        service.run(platform(&data)).0
+    };
+    let serial = run(1);
+    let concurrent = run(JOBS);
+    assert_eq!(serial.jobs.len(), JOBS);
+    assert_eq!(concurrent.jobs.len(), JOBS);
+    for (s, c) in serial.jobs.iter().zip(&concurrent.jobs) {
+        assert_eq!(s.status, JobStatus::Done, "{}", s.name);
+        assert_eq!(c.status, JobStatus::Done, "{}", c.name);
+        assert_eq!(
+            serde_json::to_string(s.outcome.as_ref().unwrap()).unwrap(),
+            serde_json::to_string(c.outcome.as_ref().unwrap()).unwrap(),
+            "outcome of {} diverged",
+            s.name
+        );
+        assert_eq!(s.ledger, c.ledger, "ledger of {} diverged", s.name);
+        assert!(s.crowd_tasks > 0, "{} asked the crowd nothing", s.name);
+        assert_eq!(s.crowd_tasks, c.crowd_tasks, "spend of {} diverged", s.name);
+    }
+}
