@@ -278,8 +278,9 @@ impl<S: InfallibleSource> AnswerSource for S {
 /// hitting the platform once per object. The default methods fall back to
 /// one-at-a-time answering, so any source is trivially a batch source;
 /// platforms with real per-HIT overhead (e.g. `MTurkSim` in the `crowd-sim`
-/// crate) override them. Unlike the round methods of [`AnswerSource`], a
-/// HIT is all-or-nothing: on `Err` no answer of the batch is delivered.
+/// crate) override the point-label batch. Unlike the round methods of
+/// [`AnswerSource`], a HIT is all-or-nothing: on `Err` no answer of the
+/// batch is delivered.
 pub trait BatchAnswerSource: AnswerSource {
     /// Labels every object in `objects`, treating the whole slice as one
     /// coalesced request. Answers must line up index-for-index.
@@ -293,15 +294,13 @@ pub trait BatchAnswerSource: AnswerSource {
             .collect()
     }
 
-    /// Answers a batch of independent set queries, one answer per query.
+    /// Answers a batch of independent set queries, one answer per query,
+    /// by asking them one at a time.
     ///
-    /// Serving layers that recover from a failed batch by re-asking its
-    /// questions individually (the `coverage-service` dispatcher does)
-    /// require `Err` to mean **nothing was served or charged**. Overriders
-    /// with side effects must therefore validate the whole batch before
-    /// serving any of it (as `MTurkSim` does); the default implementation
-    /// below serves sequentially, which satisfies the contract only for
-    /// side-effect-free sources.
+    /// The `coverage-service` dispatcher no longer calls this: it serves
+    /// each set query as its own HIT through
+    /// [`try_answer_set`](AnswerSource::try_answer_set), which is what the
+    /// paper's cost model charges anyway.
     fn try_answer_sets_batch(
         &mut self,
         queries: &[(Vec<ObjectId>, Target)],

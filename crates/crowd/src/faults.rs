@@ -228,11 +228,10 @@ impl FaultStats {
 /// schedules, as typed [`AskError::Transient`] errors.
 ///
 /// A faulted attempt returns `Err` **without** consulting the wrapped
-/// source, so the batch contracts survive: a failed
-/// `try_answer_sets_batch` has served and charged nothing, and a failed
-/// point-label chunk is all-or-nothing. Per-question attempt counters
-/// live here, so the injector observes "attempt `n` of question `q`"
-/// regardless of which batch or round the question rides in.
+/// source, so a failed point-label chunk stays all-or-nothing.
+/// Per-question attempt counters live here, so the injector observes
+/// "attempt `n` of question `q`" regardless of which batch or round the
+/// question rides in.
 #[derive(Debug)]
 pub struct FaultInjector<S> {
     inner: S,
@@ -377,18 +376,6 @@ impl<S: BatchAnswerSource> BatchAnswerSource for FaultInjector<S> {
     ) -> Result<Vec<Labels>, AskError> {
         self.attempt_batch(objects.iter().map(|o| point_key(*o)))?;
         self.inner.try_answer_point_labels_batch(objects)
-    }
-
-    fn try_answer_sets_batch(
-        &mut self,
-        queries: &[(Vec<ObjectId>, Target)],
-    ) -> Result<Vec<bool>, AskError> {
-        self.attempt_batch(
-            queries
-                .iter()
-                .map(|(objects, target)| set_key(objects, target)),
-        )?;
-        self.inner.try_answer_sets_batch(queries)
     }
 }
 

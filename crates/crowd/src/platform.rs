@@ -494,28 +494,6 @@ impl<G: GroundTruth> BatchAnswerSource for MTurkSim<'_, G> {
         self.stats.wrong_aggregated_answers += u64::from(any_agg_wrong);
         Ok(out)
     }
-
-    /// Serves a round of independent set queries — the shape the
-    /// `coverage-service` dispatcher hands over after the knowledge layer
-    /// has narrowed each query to its residual.
-    ///
-    /// Every object id in every query is validated *before* any HIT is
-    /// published, so an `Err` means nothing was served and nothing was
-    /// charged — which lets a dispatcher fall back to per-question serving
-    /// (isolating the failure to the offending job) without double-counting
-    /// platform work.
-    fn try_answer_sets_batch(
-        &mut self,
-        queries: &[(Vec<ObjectId>, Target)],
-    ) -> Result<Vec<bool>, AskError> {
-        for (objects, _) in queries {
-            self.check_ids(objects)?;
-        }
-        Ok(queries
-            .iter()
-            .map(|(objects, target)| self.serve_set(objects, target))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -871,32 +849,6 @@ mod tests {
         let batch_cost = pricing.total_cost_for_tasks(batch_tasks);
         assert!((single_cost - batch_cost).abs() < 1e-12);
         assert!((single_cost - 4.0 * 0.10 * 3.0 * 1.2).abs() < 1e-9);
-    }
-
-    /// The round-batch set path answers exactly like per-question serving
-    /// and validates every id before publishing anything.
-    #[test]
-    fn sets_batch_matches_singles_and_prevalidates() {
-        let truth = truth_with_minority(100, 20);
-        let ids = truth.all_ids();
-        let queries: Vec<(Vec<ObjectId>, Target)> =
-            ids.chunks(25).map(|c| (c.to_vec(), female())).collect();
-        let mut batched = deterministic_platform(&truth, 9);
-        let batch_answers = batched.try_answer_sets_batch(&queries).unwrap();
-        let mut single = deterministic_platform(&truth, 9);
-        let single_answers: Vec<bool> = queries
-            .iter()
-            .map(|(objects, target)| single.try_answer_set(objects, target).unwrap())
-            .collect();
-        assert_eq!(batch_answers, single_answers);
-        assert_eq!(batched.stats().query_hits, 4);
-
-        // A bad id anywhere in the round: nothing is published at all.
-        let mut bad = deterministic_platform(&truth, 9);
-        let mut poisoned = queries.clone();
-        poisoned.push((vec![ObjectId(999)], female()));
-        assert!(bad.try_answer_sets_batch(&poisoned).is_err());
-        assert_eq!(bad.stats().hits_published, 0, "err must precede serving");
     }
 
     #[test]

@@ -83,7 +83,7 @@ use crate::dispatch::{
 use crate::governor::GlobalBudget;
 use crate::job::{JobId, JobReport, JobSpec, JobStatus};
 use crate::persist::{Persistence, SpillFile};
-use crate::scheduler::PriorityQueue;
+use crate::scheduler::{PriorityQueue, DEFAULT_PRIORITY, PRIORITY_AGING};
 use crate::service::{lock, run_job, ServiceConfig, ServiceReport, TenantRateLimit};
 use crate::telemetry::{tenant_of, Telemetry};
 use coverage_core::engine::{BatchAnswerSource, CancelToken};
@@ -373,7 +373,7 @@ impl DaemonCore {
         let shared = Arc::new(Shared {
             state: Mutex::new(DaemonState {
                 jobs: Vec::new(),
-                queue: PriorityQueue::with_weights(config.priority_aging, &config.tenant_weights),
+                queue: PriorityQueue::with_weights(PRIORITY_AGING, &config.tenant_weights),
                 running: 0,
                 finished_order: Vec::new(),
                 accepting: true,
@@ -450,7 +450,7 @@ impl DaemonCore {
     /// Queues one spec under the held job-table lock — the submit step
     /// both front doors share.
     fn enqueue(&self, state: &mut DaemonState, spec: JobSpec, cancel: CancelToken) -> JobId {
-        let priority = spec.priority.unwrap_or(self.config.default_priority);
+        let priority = spec.priority.unwrap_or(DEFAULT_PRIORITY);
         let id = JobId(state.jobs.len() as u64);
         state
             .queue

@@ -3,13 +3,15 @@
 //! Concurrent jobs never touch the answer source directly. Each job holds a
 //! `DispatchHandle` (an ordinary [`AnswerSource`]) that ships questions
 //! over a channel to the dispatcher thread, which owns the real
-//! [`BatchAnswerSource`]. Per round the dispatcher drains everything
-//! pending, coalesces the point queries into `point_batch`-image HITs (the
-//! paper's HIT layout), serves the round's set queries as one batch, and
-//! replies. Questions from *different* jobs thus share HITs and — when a
-//! simulated platform round-trip latency is configured — share waiting
-//! time: the concurrency win the `concurrent_audits` example reports as
-//! its serial-vs-concurrent speedup.
+//! [`BatchAnswerSource`]. Only two question shapes reach it: set queries
+//! and rounds of point-label queries. Per round the dispatcher drains
+//! everything pending, serves each set query as its own HIT in arrival
+//! order, coalesces the point queries into `point_batch`-image HITs (the
+//! paper's HIT layout), and replies. Point questions from *different*
+//! jobs thus share HITs, and — when a simulated platform round-trip
+//! latency is configured — every question drained together shares the
+//! waiting time: the concurrency win the `concurrent_audits` example
+//! reports as its serial-vs-concurrent speedup.
 //!
 //! ## How a round is assembled
 //!
@@ -171,11 +173,8 @@ pub struct DispatchStats {
     pub points_served: u64,
     /// Set-query HITs served.
     pub set_queries_served: u64,
-    /// Rounds whose pending set queries went to the platform as one
-    /// coalesced [`BatchAnswerSource::try_answer_sets_batch`] call.
+    /// Rounds that served more than one set query.
     pub set_batches: u64,
-    /// Yes/no membership HITs served.
-    pub memberships_served: u64,
     /// The largest number of questions drained in one round (a point
     /// round counts its objects).
     pub max_round_questions: u64,
@@ -198,13 +197,7 @@ enum Question {
     },
     /// One round of independent point queries (a single point query is the
     /// one-object case).
-    Points {
-        objects: Vec<ObjectId>,
-    },
-    Membership {
-        object: ObjectId,
-        target: Target,
-    },
+    Points { objects: Vec<ObjectId> },
 }
 
 impl Question {
@@ -347,21 +340,6 @@ impl AnswerSource for DispatchHandle {
             Answer::Bool(_) => unreachable!("point query answered with bool"),
         }
     }
-
-    fn try_answer_membership(
-        &mut self,
-        object: ObjectId,
-        target: &Target,
-    ) -> Result<bool, AskError> {
-        match self.ask(Question::Membership {
-            object,
-            target: target.clone(),
-        })? {
-            Answer::Bool(b) => Ok(b),
-            Answer::Failed(e) => Err(e),
-            Answer::Labels { .. } => unreachable!("membership query answered with labels"),
-        }
-    }
 }
 
 /// Spawn side: builds the channel pair for a dispatcher.
@@ -381,16 +359,13 @@ pub(crate) fn dispatch_channel() -> (DispatchHandle, mpsc::Receiver<Request>) {
 /// exponential backoff until `max_attempts` is spent; permanent errors
 /// surface immediately. `origins` are the questions riding in this call —
 /// their tenants take the retry counters and breaker outcomes, their jobs
-/// the trace events. With `terminal` false the caller has a fallback path
-/// (the coalesced set batch re-serves per question), so exhaustion is
-/// returned without being recorded as a dead letter.
+/// the trace events. Exhaustion is recorded as a dead letter.
 fn serve_with_retry<S, T>(
     source: &mut S,
     cfg: &DispatcherConfig,
     stats: &mut DispatchStats,
     origins: &[&Origin],
     what: &str,
-    terminal: bool,
     mut call: impl FnMut(&mut S) -> Result<T, AskError>,
 ) -> Result<T, AskError> {
     let policy = &cfg.retry;
@@ -430,18 +405,16 @@ fn serve_with_retry<S, T>(
             return Err(error);
         }
         if attempt >= policy.max_attempts {
-            if terminal {
-                stats.retry_exhausted += 1;
-                for origin in origins {
-                    let state = cfg.breakers.record_exhausted(&origin.tenant);
-                    cfg.telemetry
-                        .record_breaker_state(&origin.tenant, state.gauge());
-                }
-                for job in distinct_jobs(origins) {
-                    cfg.telemetry.trace(Some(job), "dead_letter", || {
-                        format!("{what} exhausted {attempt} delivery attempts: {error}")
-                    });
-                }
+            stats.retry_exhausted += 1;
+            for origin in origins {
+                let state = cfg.breakers.record_exhausted(&origin.tenant);
+                cfg.telemetry
+                    .record_breaker_state(&origin.tenant, state.gauge());
+            }
+            for job in distinct_jobs(origins) {
+                cfg.telemetry.trace(Some(job), "dead_letter", || {
+                    format!("{what} exhausted {attempt} delivery attempts: {error}")
+                });
             }
             return Err(error);
         }
@@ -519,7 +492,7 @@ fn serve_point_rounds<S: BatchAnswerSource>(
         let mut jobs: Vec<usize> = chunk.iter().map(|(job, _)| *job).collect();
         jobs.dedup();
         let origins: Vec<&Origin> = jobs.iter().map(|job| &rounds[*job].origin).collect();
-        match serve_with_retry(source, cfg, stats, &origins, "point-label HIT", true, |s| {
+        match serve_with_retry(source, cfg, stats, &origins, "point-label HIT", |s| {
             s.try_answer_point_labels_batch(&objects)
         }) {
             Ok(labels) => {
@@ -575,8 +548,7 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
         // relayed as `Answer::Failed` to exactly those jobs — the job
         // runner turns it into `JobStatus::Failed`.
         let mut point_rounds: Vec<PointRound> = Vec::new();
-        let mut set_replies: Vec<(Vec<ObjectId>, Target, Origin, mpsc::Sender<Answer>)> =
-            Vec::new();
+        let mut sets: Vec<(Vec<ObjectId>, Target, Origin, mpsc::Sender<Answer>)> = Vec::new();
         for request in pending {
             // Intake gate: a tenant whose circuit is open fails fast —
             // its questions never reach the platform until the cooldown's
@@ -607,79 +579,26 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
                     });
                 }
                 Question::Set { objects, target } => {
-                    set_replies.push((objects, target, request.origin, request.reply));
-                }
-                Question::Membership { object, target } => {
-                    stats.memberships_served += 1;
-                    let origin = request.origin;
-                    let answer = match serve_with_retry(
-                        source,
-                        cfg,
-                        &mut stats,
-                        &[&origin],
-                        "membership question",
-                        true,
-                        |s| s.try_answer_membership(object, &target),
-                    ) {
-                        Ok(ans) => Answer::Bool(ans),
-                        Err(e) => Answer::Failed(e),
-                    };
-                    let _ = request.reply.send(answer);
+                    sets.push((objects, target, request.origin, request.reply));
                 }
             }
         }
 
-        // The round's set queries (post-narrowing residuals) go to the
-        // platform as one batch. `try_answer_sets_batch`'s contract says a
-        // conforming source serves and charges *nothing* on `Err`
-        // (`MTurkSim` pre-validates every id for exactly this reason), so
-        // the per-question fallback below re-serves the round without
-        // double-publishing — isolating a data-dependent failure (one
-        // job's out-of-range id) to the asking job instead of failing
-        // everyone coalesced into the batch.
-        stats.set_queries_served += set_replies.len() as u64;
-        let mut individually: Vec<(Vec<ObjectId>, Target, Origin, mpsc::Sender<Answer>)> =
-            Vec::new();
-        if set_replies.len() > 1 {
-            let queries: Vec<(Vec<ObjectId>, Target)> = set_replies
-                .iter()
-                .map(|(objects, target, _, _)| (objects.clone(), target.clone()))
-                .collect();
-            let origins: Vec<&Origin> =
-                set_replies.iter().map(|(_, _, origin, _)| origin).collect();
-            match serve_with_retry(
-                source,
-                cfg,
-                &mut stats,
-                &origins,
-                "coalesced set batch",
-                false,
-                |s| s.try_answer_sets_batch(&queries),
-            ) {
-                Ok(answers) => {
-                    stats.set_batches += 1;
-                    for ((_, _, _, reply), ans) in set_replies.into_iter().zip(answers) {
-                        let _ = reply.send(Answer::Bool(ans));
-                    }
-                }
-                Err(_) => individually = set_replies,
-            }
-        } else {
-            individually = set_replies;
+        // The round's set queries (post-narrowing residuals) are one HIT
+        // each, served in arrival order under their own retry loops, so a
+        // failure fails only the job that asked.
+        stats.set_queries_served += sets.len() as u64;
+        if sets.len() > 1 {
+            stats.set_batches += 1;
         }
-        for (objects, target, origin, reply) in individually {
-            let answer = match serve_with_retry(
-                source,
-                cfg,
-                &mut stats,
-                &[&origin],
-                "set question",
-                true,
-                |s| s.try_answer_set(&objects, &target),
-            ) {
-                Ok(ans) => Answer::Bool(ans),
-                Err(e) => Answer::Failed(e),
-            };
+        for (objects, target, origin, reply) in sets {
+            let answer =
+                match serve_with_retry(source, cfg, &mut stats, &[&origin], "set question", |s| {
+                    s.try_answer_set(&objects, &target)
+                }) {
+                    Ok(ans) => Answer::Bool(ans),
+                    Err(e) => Answer::Failed(e),
+                };
             let _ = reply.send(answer);
         }
 
@@ -738,8 +657,7 @@ mod tests {
             dispatcher.join().expect("dispatcher exits cleanly")
         });
         assert_eq!(stats.set_queries_served, 2);
-        assert_eq!(stats.memberships_served, 2);
-        assert_eq!(stats.points_served, 1);
+        assert_eq!(stats.points_served, 3);
         assert!(stats.rounds >= 1);
     }
 
@@ -988,19 +906,150 @@ mod tests {
         assert_eq!(stats.retry_exhausted, 2);
     }
 
-    /// Queues one point round straight onto the dispatcher's channel, so
-    /// a test controls exactly which requests one round drains.
-    fn queue_round(handle: &DispatchHandle, objects: Vec<ObjectId>) -> mpsc::Receiver<Answer> {
+    /// Queues one question straight onto the dispatcher's channel under
+    /// `handle`'s tags, so a test controls exactly which requests one
+    /// round drains.
+    fn queue(handle: &DispatchHandle, question: Question) -> mpsc::Receiver<Answer> {
         let (reply, rx) = mpsc::channel();
         handle
             .tx
             .send(Request {
-                question: Question::Points { objects },
-                origin: Origin::untagged(),
+                question,
+                origin: handle.origin.clone(),
                 reply,
             })
             .unwrap();
         rx
+    }
+
+    fn queue_round(handle: &DispatchHandle, objects: Vec<ObjectId>) -> mpsc::Receiver<Answer> {
+        queue(handle, Question::Points { objects })
+    }
+
+    fn queue_set(
+        handle: &DispatchHandle,
+        objects: &[ObjectId],
+        target: &Target,
+    ) -> mpsc::Receiver<Answer> {
+        queue(
+            handle,
+            Question::Set {
+                objects: objects.to_vec(),
+                target: target.clone(),
+            },
+        )
+    }
+
+    fn bool_of(answer: Answer) -> Result<bool, AskError> {
+        match answer {
+            Answer::Bool(b) => Ok(b),
+            Answer::Failed(e) => Err(e),
+            Answer::Labels { .. } => panic!("set query answered with labels"),
+        }
+    }
+
+    #[test]
+    fn bad_set_query_fails_only_its_job_in_a_shared_round() {
+        let t = truth(200, 30);
+        let target = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let (handle, rx) = dispatch_channel();
+        // All three are queued before the dispatcher starts, so its first
+        // drain takes them together.
+        let a = queue_set(&handle.tagged("a", 1), &ids[..50], &target);
+        let bad = queue_set(
+            &handle.tagged("b", 2),
+            &[ObjectId(0), ObjectId(999)],
+            &target,
+        );
+        let c = queue_set(&handle.tagged("c", 3), &ids[100..], &target);
+        drop(handle);
+        let mut source = crate::tests::CheckedSource { truth: &t };
+        let stats = run_dispatcher(&mut source, rx, &DispatcherConfig::default());
+        assert_eq!(bool_of(a.recv().unwrap()), Ok(true));
+        assert!(matches!(
+            bool_of(bad.recv().unwrap()),
+            Err(AskError::SourceFailed(_))
+        ));
+        assert_eq!(bool_of(c.recv().unwrap()), Ok(false));
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.set_queries_served, 3);
+        assert_eq!(stats.set_batches, 1);
+        assert_eq!(stats.retries, 0);
+        assert_eq!(stats.retry_exhausted, 0);
+    }
+
+    /// Records the objects of every set query delivered to `inner`, so a
+    /// test can count the delivery attempts each question took.
+    struct Attempts<S> {
+        inner: S,
+        sets: Vec<Vec<ObjectId>>,
+    }
+
+    impl<S: AnswerSource> AnswerSource for Attempts<S> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.sets.push(objects.to_vec());
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+    }
+
+    impl<S: BatchAnswerSource> BatchAnswerSource for Attempts<S> {}
+
+    #[test]
+    fn transient_set_fault_redelivers_only_that_question() {
+        use crowd_sim::faults::{FaultInjector, FaultPlan};
+        let t = truth(200, 30);
+        let target = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let (faulty, clean) = (&ids[..50], &ids[100..]);
+        let faults_first_try = |plan: &FaultPlan, objects: &[ObjectId]| {
+            FaultInjector::new(PerfectSource::new(&t), plan.clone())
+                .try_answer_set(objects, &target)
+                .is_err()
+        };
+        // The first seed whose schedule faults `faulty` and spares `clean`.
+        let plan = (0..)
+            .map(|seed| FaultPlan::transient(seed, 50, 2))
+            .find(|p| faults_first_try(p, faulty) && !faults_first_try(p, clean))
+            .unwrap();
+
+        // The clean question rides first, so re-serving the whole round
+        // would show up as a second delivery of it.
+        let (handle, rx) = dispatch_channel();
+        let b = queue_set(&handle.tagged("b", 2), clean, &target);
+        let a = queue_set(&handle.tagged("a", 1), faulty, &target);
+        drop(handle);
+        let mut source = Attempts {
+            inner: FaultInjector::new(PerfectSource::new(&t), plan),
+            sets: Vec::new(),
+        };
+        let stats = run_dispatcher(&mut source, rx, &fast_retry(3));
+        let injected = source.inner.stats().total();
+        assert!(injected >= 1);
+
+        assert_eq!(bool_of(a.recv().unwrap()), Ok(true));
+        assert_eq!(
+            bool_of(b.recv().unwrap()),
+            PerfectSource::new(&t).try_answer_set(clean, &target)
+        );
+        assert_eq!(stats.retries, injected);
+        let attempts = |objects: &[ObjectId]| source.sets.iter().filter(|s| *s == objects).count();
+        assert_eq!(attempts(faulty) as u64, injected + 1);
+        assert_eq!(
+            attempts(clean),
+            1,
+            "the other question is never redelivered"
+        );
+        assert_eq!(stats.retry_exhausted, 0, "no dead letters");
+        assert_eq!((stats.rounds, stats.set_batches), (1, 1));
     }
 
     fn labels_of(answer: Answer) -> (Vec<Labels>, Option<AskError>) {

@@ -7,8 +7,8 @@
 //! * [`HashRing`] — a consistent-hash ring over `ObjectId`s. Each node is
 //!   *authoritative* for the objects that hash to it, which gives the
 //!   router a data-locality signal and the bench a way to partition a
-//!   giant pool into per-node shards. [`ServiceConfig::ring_replicas`]
-//!   virtual points per node smooth the shard sizes.
+//!   giant pool into per-node shards. More virtual points per node
+//!   (the `replicas` argument of [`HashRing::new`]) smooth the shard sizes.
 //! * [`FleetNode`] — one daemon + its HTTP front door + an **anti-entropy
 //!   loop**: every [`ServiceConfig::anti_entropy_ms`] the node diffs its
 //!   fact base against what it last shipped each peer
@@ -346,9 +346,9 @@ pub struct FleetRouter {
 
 impl FleetRouter {
     /// A router over `nodes` (each a fleet node's HTTP front door), with
-    /// `ring_replicas` virtual points per node — use the same value as
-    /// [`ServiceConfig::ring_replicas`] so router and bench agree on
-    /// ownership.
+    /// `ring_replicas` virtual points per node — use the same value
+    /// wherever a [`HashRing`] partitions the pool, so router and shards
+    /// agree on ownership.
     ///
     /// # Panics
     /// Panics on an empty node list or zero replicas.

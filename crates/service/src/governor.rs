@@ -269,15 +269,6 @@ impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
         self.inner.try_answer_point_labels(object)
     }
 
-    fn try_answer_membership(
-        &mut self,
-        object: ObjectId,
-        target: &Target,
-    ) -> Result<bool, AskError> {
-        self.budget.charge(0, 1)?;
-        self.inner.try_answer_membership(object, target)
-    }
-
     /// Charges the round object by object, in order, forwards the admitted
     /// prefix in one inner round and then returns the refusal — so at any
     /// cap the spend and the delivered prefix equal one-at-a-time asking.
@@ -285,7 +276,8 @@ impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
     /// one were never delivered and their charge is returned; the failed
     /// question itself stays charged, as on the one-at-a-time path.
     ///
-    /// Membership rounds keep the default body: the shared knowledge store
+    /// Membership questions and rounds keep the default bodies, which ask
+    /// (and charge) one point label per object; the shared knowledge store
     /// above this layer answers them through this labels round.
     fn try_answer_point_labels_many(
         &mut self,

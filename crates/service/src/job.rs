@@ -190,14 +190,13 @@ pub struct JobSpec {
     /// value, only the job's wall-clock changes.
     pub intra_parallelism: Option<usize>,
     /// Scheduling priority: a higher value runs earlier when workers are
-    /// contended. `None` defers to the service's
-    /// [`ServiceConfig::default_priority`](crate::ServiceConfig); `Some(0)`
-    /// is **valid** (the least urgent class — unlike
+    /// contended. `None` means priority 0, the least urgent class;
+    /// `Some(0)` is equally **valid** (unlike
     /// [`JobSpec::intra_parallelism`], where zero workers is meaningless,
     /// every `u32` names a legitimate priority, so [`JobSpec::validate`]
     /// accepts the full range). Ties run in submission order, and waiting
-    /// jobs age upward so a low priority delays a job but never starves it
-    /// (see [`ServiceConfig::priority_aging`](crate::ServiceConfig)).
+    /// jobs age upward by one per scheduling decision, so a low priority
+    /// delays a job but never starves it (see [`crate::scheduler`]).
     /// Priority never changes a job's outcome — only when it runs.
     pub priority: Option<u32>,
 }

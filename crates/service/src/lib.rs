@@ -19,8 +19,8 @@
 //!   shrinks every other job's queries, across algorithms and targets;
 //! * a **batched dispatcher** ([`dispatch`]): one thread owns the platform,
 //!   coalescing concurrent point queries into many-images-per-HIT batches
-//!   (the paper's HIT layout), serving each round's residual set queries as
-//!   one batch, and sharing simulated round-trip latency across jobs;
+//!   (the paper's HIT layout), serving each residual set query as its own
+//!   HIT, and sharing simulated round-trip latency across jobs;
 //! * a **budget governor** ([`governor`]): per-job and global crowd-task
 //!   caps with graceful [`JobStatus::Exhausted`] outcomes carrying the
 //!   partial result discovered before the cut.
@@ -33,10 +33,9 @@
 //! changes any verdict or logical ledger, only wall-clock.
 //!
 //! The pool dispatches by **priority** ([`JobSpec::priority`], default
-//! [`ServiceConfig::default_priority`]): higher runs first, ties in
-//! submission order, and queued jobs age upward so nothing starves (see
-//! [`scheduler`]). Priority moves *when* a job runs, never what it
-//! reports.
+//! 0): higher runs first, ties in submission order, and queued jobs age
+//! upward so nothing starves (see [`scheduler`]). Priority moves *when* a
+//! job runs, never what it reports.
 //!
 //! The whole ask path is **fallible**: budget exhaustion, cancellation
 //! (see [`AuditService::cancel_handle`]) and platform failures travel as
@@ -372,8 +371,8 @@ mod tests {
 
     /// A source whose answers validate object ids — the fallible analogue
     /// of a platform that rejects malformed HITs instead of crashing.
-    struct CheckedSource<'a> {
-        truth: &'a VecGroundTruth,
+    pub(crate) struct CheckedSource<'a> {
+        pub(crate) truth: &'a VecGroundTruth,
     }
 
     impl CheckedSource<'_> {

@@ -8,7 +8,7 @@
 //! 1. **Within a tenant** (tenant = the job-name segment before `/`, the
 //!    same keying as the `audit_tenant_crowd_tasks_total` metric), a job's
 //!    base priority comes from [`JobSpec::priority`] (higher runs first),
-//!    defaulting to [`ServiceConfig::default_priority`]; ties break by
+//!    defaulting to `DEFAULT_PRIORITY` (0); ties break by
 //!    **submission order**, so equal-priority scheduling degenerates to
 //!    exactly the FIFO dispatch the service shipped with.
 //!
@@ -16,16 +16,16 @@
 //!    clock, and a queued job's *effective* priority is
 //!
 //!    ```text
-//!    effective = base + priority_aging × pops_waited
+//!    effective = base + aging × pops_waited
 //!    ```
 //!
 //!    Jobs already queued all age at the same rate, so aging never reorders
 //!    *them* — it only protects an old low-priority job from a perpetual
 //!    stream of **newly submitted** high-priority work (each newcomer
-//!    starts at age zero). With [`ServiceConfig::priority_aging`]` = a > 0`,
-//!    a job whose base priority trails the newcomers' by `Δ` waits at most
-//!    `⌈Δ / a⌉` further pops; `a = 0` disables aging and restores strict
-//!    priority order.
+//!    starts at age zero). The pool ages by `PRIORITY_AGING` (1) per pop,
+//!    so a job whose base priority trails the newcomers' by `Δ` waits at
+//!    most `Δ` further pops; the queue itself takes any `aging = a`
+//!    (`⌈Δ / a⌉` pops; `a = 0` restores strict priority order).
 //!
 //! 2. **Across tenants**, the queue runs **weighted fair queueing** (WFQ,
 //!    start-time fair queueing flavour) driven by
@@ -62,11 +62,18 @@
 //! [`AuditService::run`]: crate::AuditService::run
 //! [`AuditDaemon`]: crate::AuditDaemon
 //! [`JobSpec::priority`]: crate::JobSpec::priority
-//! [`ServiceConfig::default_priority`]: crate::ServiceConfig::default_priority
-//! [`ServiceConfig::priority_aging`]: crate::ServiceConfig::priority_aging
 //! [`ServiceConfig::tenant_weights`]: crate::ServiceConfig::tenant_weights
 
 use std::collections::HashMap;
+
+/// Base priority of a job whose spec leaves [`JobSpec::priority`] unset.
+///
+/// [`JobSpec::priority`]: crate::JobSpec::priority
+pub(crate) const DEFAULT_PRIORITY: u32 = 0;
+
+/// Effective-priority boost a queued job gains per pop it waits through:
+/// a job out-prioritized by `Δ` waits at most `Δ` further pops.
+pub(crate) const PRIORITY_AGING: u64 = 1;
 
 /// Fixed-point scale of the virtual-time axis: one scheduling decision of
 /// a weight-`w` tenant advances its finish tag by `VT_SCALE / w`. Large

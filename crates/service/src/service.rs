@@ -32,8 +32,7 @@
 //!     (0..800).map(|i| Labels::single(u8::from(i % 10 == 0))).collect(),
 //! );
 //! let mut service = AuditService::new(ServiceConfig {
-//!     workers: 2,          // two concurrent job runners
-//!     default_priority: 1, // specs without an explicit priority run here
+//!     workers: 2, // two concurrent job runners
 //!     ..ServiceConfig::default()
 //! });
 //! let target = Target::group(Pattern::parse("1").unwrap());
@@ -93,19 +92,6 @@ pub struct ServiceConfig {
     /// [`JobSpec::intra_parallelism`] unset. `1` keeps every job on its own
     /// single runner thread (the pre-scale-out behaviour).
     pub intra_job_parallelism: usize,
-    /// Base scheduling priority for specs that leave [`JobSpec::priority`]
-    /// unset. Higher runs earlier; with every job at the same priority the
-    /// pool dispatches in pure submission order.
-    pub default_priority: u32,
-    /// Effective-priority boost a queued job gains per scheduling decision
-    /// it waits through — the starvation-freedom knob (see
-    /// [`crate::scheduler`]). `0` disables aging (strict priority order);
-    /// the default `1` means a job out-prioritized by `Δ` waits at most
-    /// `Δ` further pops. Aging never reorders jobs queued together, and a
-    /// scoped [`AuditService::run`] queues its whole batch before the
-    /// first pop, so it sees pure (priority, submission-order) scheduling
-    /// whatever the value.
-    pub priority_aging: u64,
     /// Enables the telemetry plane ([`crate::telemetry`]): the metrics
     /// registry, the trace ring and the daemon's `/metrics`–`/trace`
     /// surface. Strictly read-only — with this on or off every
@@ -171,10 +157,6 @@ pub struct ServiceConfig {
     /// Base backoff before the first retry, in milliseconds; attempt `k`
     /// waits `retry_base_ms << (k-1)` plus deterministic seeded jitter.
     pub retry_base_ms: u64,
-    /// Per-question delivery deadline, in milliseconds: an answer arriving
-    /// later (an injected late delivery, a wedged platform call) is
-    /// discarded and the question retried as if it had timed out.
-    pub hit_deadline_ms: u64,
     /// Consecutive retry-exhausted questions a tenant may accrue before
     /// its circuit breaker opens and the tenant's questions fail fast
     /// without touching the platform. `0` disables circuit breaking. See
@@ -194,11 +176,6 @@ pub struct ServiceConfig {
     /// peer states on `/readyz` — the pre-fleet behaviour. See
     /// [`crate::fleet`].
     pub fleet_peers: Vec<String>,
-    /// Virtual points per node on the fleet's consistent-hash ring
-    /// ([`crate::fleet::HashRing`]): more replicas smooth shard sizes at
-    /// the cost of a larger (still tiny) ring table. Purely a placement
-    /// knob — any count yields identical verdicts.
-    pub ring_replicas: usize,
     /// Cadence of the anti-entropy loop in milliseconds: how often a
     /// fleet node diffs its fact base against what it last shipped each
     /// peer and POSTs the delta to `/fleet/delta`. Lower spreads facts
@@ -273,14 +250,6 @@ impl ServiceConfig {
             "need at least one delivery attempt per question"
         );
         assert!(
-            self.hit_deadline_ms > 0,
-            "the per-question deadline must be positive"
-        );
-        assert!(
-            self.ring_replicas > 0,
-            "the consistent-hash ring needs at least one point per node"
-        );
-        assert!(
             self.anti_entropy_ms > 0,
             "the anti-entropy cadence must be positive"
         );
@@ -294,13 +263,13 @@ impl ServiceConfig {
         }
     }
 
-    /// The dispatcher retry policy these knobs describe (the jitter seed is
-    /// fixed: retries must be reproducible across runs, not tunable).
+    /// The dispatcher retry policy these knobs describe (the jitter seed
+    /// and the 30 s per-HIT deadline are fixed: retries must be
+    /// reproducible across runs, not tunable).
     pub(crate) fn retry_policy(&self) -> crate::dispatch::RetryPolicy {
         crate::dispatch::RetryPolicy {
             max_attempts: self.retry_max_attempts,
             base: Duration::from_millis(self.retry_base_ms),
-            hit_deadline: Duration::from_millis(self.hit_deadline_ms),
             ..crate::dispatch::RetryPolicy::default()
         }
     }
@@ -333,8 +302,6 @@ impl Default for ServiceConfig {
             round_latency: Duration::ZERO,
             store_shards: coverage_core::memo::DEFAULT_STORE_SHARDS,
             intra_job_parallelism: 1,
-            default_priority: 0,
-            priority_aging: 1,
             telemetry: true,
             trace_capacity: 1024,
             data_dir: None,
@@ -346,11 +313,9 @@ impl Default for ServiceConfig {
             tenant_weights: Vec::new(),
             retry_max_attempts: 3,
             retry_base_ms: 10,
-            hit_deadline_ms: 30_000,
             breaker_threshold: 8,
             tenant_rate_limit: None,
             fleet_peers: Vec::new(),
-            ring_replicas: 32,
             anti_entropy_ms: 200,
         }
     }
