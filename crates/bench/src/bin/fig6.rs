@@ -8,8 +8,12 @@
 //!
 //! Paper shape: visible disparity at 0 added samples (≈10 % accuracy for
 //! MRL, ≈1 % for UTKFace), monotonically shrinking toward zero by 100.
+//! The printed shape check reports both halves of that claim for each
+//! series: whether the disparity at 100 is below the one at 0, and every
+//! step at which it rises instead. The simulacra are noisy: the 6b series
+//! ends lower than it starts but is not monotone.
 
-use classifier_sim::run_disparity_experiment;
+use classifier_sim::{run_disparity_experiment, DisparityPoint};
 use cvg_bench::TablePrinter;
 use dataset_sim::catalogs;
 use rand::rngs::SmallRng;
@@ -97,28 +101,43 @@ fn main() {
     }
 
     // Shape checks mirroring the paper's conclusions.
-    let first_a = points_a.first().expect("points");
-    let last_a = points_a.last().expect("points");
+    println!();
+    report_shape("6a", &points_a);
+    report_shape("6b", &points_b);
+}
+
+/// Prints whether a disparity series ends below where it started and
+/// every step at which it rises, so a non-monotone series is never called
+/// monotone.
+fn report_shape(name: &str, points: &[DisparityPoint]) {
+    let first = points.first().expect("points");
+    let last = points.last().expect("points");
+    let rises: Vec<String> = points
+        .windows(2)
+        .filter(|w| w[1].accuracy_disparity > w[0].accuracy_disparity)
+        .map(|w| {
+            format!(
+                "{} -> {} samples: {:.4} -> {:.4}",
+                w[0].added_per_class,
+                w[1].added_per_class,
+                w[0].accuracy_disparity,
+                w[1].accuracy_disparity
+            )
+        })
+        .collect();
     println!(
-        "\n6a shape: disparity {:.4} -> {:.4} ({})",
-        first_a.accuracy_disparity,
-        last_a.accuracy_disparity,
-        if last_a.accuracy_disparity < first_a.accuracy_disparity {
-            "shrinks ✓"
+        "{name} shape: disparity {:.4} -> {:.4} ({}); {}",
+        first.accuracy_disparity,
+        last.accuracy_disparity,
+        if last.accuracy_disparity < first.accuracy_disparity {
+            "shrinks overall ✓"
         } else {
             "DID NOT SHRINK ✗"
-        }
-    );
-    let first_b = points_b.first().expect("points");
-    let last_b = points_b.last().expect("points");
-    println!(
-        "6b shape: disparity {:.4} -> {:.4} ({})",
-        first_b.accuracy_disparity,
-        last_b.accuracy_disparity,
-        if last_b.accuracy_disparity < first_b.accuracy_disparity {
-            "shrinks ✓"
+        },
+        if rises.is_empty() {
+            "monotone ✓".to_string()
         } else {
-            "DID NOT SHRINK ✗"
+            format!("NOT monotone, rises at {}", rises.join(", "))
         }
     );
 }

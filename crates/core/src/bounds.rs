@@ -37,7 +37,10 @@ impl LogBase {
     }
 }
 
-/// Upper bound on Group-Coverage tasks: `N/n + τ·log(n)` (Lemma 3.3).
+/// The paper's bound formula for Group-Coverage tasks: `N/n + τ·log(n)`
+/// (Lemma 3.3). It is an asymptotic `Θ` expression evaluated without its
+/// constants, so a run can exceed it; [`group_coverage_envelope`] is the
+/// bound every run respects.
 ///
 /// # Panics
 /// Panics when `n == 0`.
@@ -46,6 +49,22 @@ pub fn group_coverage_upper_bound(n_total: usize, n: usize, tau: usize, base: Lo
     let roots = n_total as f64 / n as f64;
     let split_cost = tau as f64 * base.log((n.max(2)) as f64);
     roots + split_cost
+}
+
+/// The proven worst-case envelope on Group-Coverage tasks over a pool of
+/// `n_total` objects holding `members` members of the target:
+/// `⌈N/n⌉ + 2·min(f, τ)·(log2 n + 1)`. Every root costs one query, and
+/// each of at most `min(f, τ)` *yes* leaves costs at most two queries per
+/// tree level. Unlike [`group_coverage_upper_bound`], which evaluates the
+/// paper's asymptotic formula, this holds for every run (it is what the
+/// `prop_cost_within_envelope` property pins).
+///
+/// # Panics
+/// Panics when `n == 0`.
+pub fn group_coverage_envelope(n_total: usize, n: usize, members: usize, tau: usize) -> f64 {
+    require_positive_n(n);
+    let roots = n_total.div_ceil(n) as f64;
+    roots + 2.0 * members.min(tau) as f64 * ((n as f64).log2() + 1.0)
 }
 
 /// Lower bound for any algorithm that must certify an uncovered group:
@@ -80,6 +99,14 @@ mod tests {
         let b2 = group_coverage_upper_bound(1000, 50, 50, LogBase::Two);
         let b10 = group_coverage_upper_bound(1000, 50, 50, LogBase::Ten);
         assert!(b2 > b10);
+    }
+
+    #[test]
+    fn envelope_counts_roots_and_two_queries_per_level_per_leaf() {
+        // Figure 4: one 16-object tree, 5 members, τ = 3 → 1 + 2·3·(4 + 1).
+        assert_eq!(group_coverage_envelope(16, 16, 5, 3), 31.0);
+        // No members: the roots alone.
+        assert_eq!(group_coverage_envelope(1000, 50, 0, 50), 20.0);
     }
 
     #[test]

@@ -20,20 +20,25 @@
 //! ## Rounds
 //!
 //! On a live crowd every trip to the platform is one publish-and-collect
-//! HIT cycle, so a driver that already knows its next few point questions
-//! should ask them **together**. [`AnswerSource`] therefore carries round
-//! methods beside the single-question ones —
+//! HIT cycle, so a driver that already knows its next few questions should
+//! ask them **together**. [`AnswerSource`] therefore carries round methods
+//! beside the single-question ones —
 //! [`try_answer_point_labels_many`](AnswerSource::try_answer_point_labels_many)
-//! and [`try_answer_memberships`](AnswerSource::try_answer_memberships) —
-//! and the engine exposes them as [`Engine::ask_memberships`] and
-//! [`Engine::ask_point_labels_batched`]. A round obeys a **prefix
-//! contract**: on `Err` the caller receives the answers for the longest
-//! answered prefix of the round, exactly what asking one object at a time
-//! would have delivered before the failure. The default trait bodies ask
-//! one object at a time and are the sequential reference; reuse, budget
-//! and dispatch layers override them to forward a round in one trip.
-//! Cancellation is checked once per round, before it is sent: a round in
-//! flight completes.
+//! and [`try_answer_memberships`](AnswerSource::try_answer_memberships) for
+//! point questions, [`try_answer_sets`](AnswerSource::try_answer_sets) for
+//! set queries — and the engine exposes them as [`Engine::ask_memberships`],
+//! [`Engine::ask_point_labels_batched`] and [`Engine::ask_sets`]. A round
+//! obeys a **prefix contract**: on `Err` the caller receives the answers
+//! for the longest answered prefix of the round, exactly what asking one
+//! question at a time would have delivered before the failure. The default
+//! trait bodies ask one question at a time and are the sequential
+//! reference; reuse, budget and dispatch layers override them to forward a
+//! round in one trip. A driver only puts questions in one round when it
+//! would ask all of them one at a time anyway (Base-Coverage's τ − cnt
+//! objects, one level of Group-Coverage's tree), so rounds change how many
+//! trips the crowd makes, never which questions it answers. Cancellation
+//! is checked once per round, before it is sent: a round in flight
+//! completes.
 //!
 //! The ledger meters **logical** work: every question the algorithm asked
 //! and had answered, regardless of how the answer was produced. Answer
@@ -225,6 +230,24 @@ pub trait AnswerSource {
     ) -> Result<(), AskError> {
         for object in objects {
             out.push(self.try_answer_membership(*object, target)?);
+        }
+        Ok(())
+    }
+
+    /// Answers one round of set queries about `target`, one answer per set
+    /// appended to `out` in input order, under the same prefix contract as
+    /// [`try_answer_point_labels_many`](Self::try_answer_point_labels_many).
+    /// The default asks one set at a time through
+    /// [`try_answer_set`](Self::try_answer_set) and is the sequential
+    /// reference every override must match.
+    fn try_answer_sets(
+        &mut self,
+        sets: &[&[ObjectId]],
+        target: &Target,
+        out: &mut Vec<bool>,
+    ) -> Result<(), AskError> {
+        for objects in sets {
+            out.push(self.try_answer_set(objects, target)?);
         }
         Ok(())
     }
@@ -569,6 +592,36 @@ impl<S: AnswerSource> Engine<S> {
         Ok(ans)
     }
 
+    /// Asks one round of set queries in a single
+    /// [`AnswerSource::try_answer_sets`] call. Each delivered answer is
+    /// recorded as one set query, so a round of `k` answers costs what `k`
+    /// [`ask_set`](Self::ask_set) calls would; only the number of dispatch
+    /// rounds differs.
+    ///
+    /// # Errors
+    /// On a failure the [`Interrupted`] partial holds the answers for the
+    /// longest answered prefix of `sets` (already metered).
+    pub fn ask_sets(
+        &mut self,
+        sets: &[&[ObjectId]],
+        target: &Target,
+    ) -> Result<Vec<bool>, Interrupted<Vec<bool>>> {
+        let mut answers = Vec::with_capacity(sets.len());
+        let result = self
+            .checkpoint()
+            .and_then(|()| self.source.try_answer_sets(sets, target, &mut answers));
+        for _ in &answers {
+            self.ledger.record_set_query();
+        }
+        match result {
+            Ok(()) => Ok(answers),
+            Err(error) => Err(Interrupted {
+                error,
+                partial: answers,
+            }),
+        }
+    }
+
     /// Asks one round of yes/no membership questions, one per object, in a
     /// single [`AnswerSource::try_answer_memberships`] call. Each delivered
     /// answer is recorded as its own single-object task (the paper's
@@ -842,6 +895,34 @@ mod tests {
             })
         ));
         assert_eq!(engine.ledger().total_tasks(), 2);
+    }
+
+    #[test]
+    fn set_round_meters_the_answered_prefix() {
+        let truth = truth_with_minority(40, 5);
+        let target = Target::group(Pattern::parse("1").unwrap());
+        let ids = truth.all_ids();
+        let sets: Vec<&[ObjectId]> = ids.chunks(10).collect();
+        let token = CancelToken::new();
+        let mut engine = Engine::new(FlakySource {
+            inner: PerfectSource::new(&truth),
+            allow: 2,
+        })
+        .with_cancel_token(token.clone());
+        let cut = engine.ask_sets(&sets, &target).unwrap_err();
+        assert!(matches!(cut.error, AskError::SourceFailed(_)));
+        assert_eq!(cut.partial, vec![true, false], "the answered prefix");
+        assert_eq!(engine.ledger().set_queries(), 2);
+        // A cancelled round is refused whole, before anything is sent.
+        token.cancel();
+        assert_eq!(
+            engine.ask_sets(&sets, &target),
+            Err(Interrupted {
+                error: AskError::Cancelled,
+                partial: Vec::new()
+            })
+        );
+        assert_eq!(engine.ledger().set_queries(), 2);
     }
 
     #[test]

@@ -14,9 +14,31 @@
 //!
 //! Cost: `Θ(N/n + τ·log n)` tasks in the worst case, which is only an
 //! additive `Θ(τ·log n)` above the trivial `N/n` lower bound (§3.2).
+//!
+//! ## Rounds
+//!
+//! The breadth-first loop asks its set queries in **rounds**, one
+//! [`Engine::ask_sets`] call (one dispatch round on a live crowd) per batch
+//! instead of one per question. A round is the longest prefix of the FIFO
+//! queue whose asks are already decided: roots, left children, and right
+//! children whose left sibling already answered *yes*. A right child whose
+//! left sibling is still unanswered ends the round, because a *no* on the
+//! left substitutes the right child for free (line 12). A round holds at
+//! most `τ − cnt` questions. The answers are processed in queue order by
+//! the one-at-a-time loop body, and each answer raises `cnt` by at most
+//! one, so the run cannot stop before a round's last answer. Every round is
+//! therefore a prefix of the one-at-a-time question sequence: the
+//! questions, the ledger, the witnesses and the verdict are identical, and
+//! only the number of dispatch rounds falls — the argument behind
+//! Base-Coverage's τ − cnt rounds, applied level by level to the tree (the
+//! level-wise traversal of Asudeh et al.). Under a cut the answered prefix
+//! is processed before the error surfaces, so the partial outcome is the
+//! one-at-a-time one too. The paper's Figure 4 example asks its 7
+//! questions in 6 rounds. The depth-first ablation asks one question per
+//! round.
 
 use crate::engine::{AnswerSource, Engine, ObjectId};
-use crate::error::{require_positive_n, try_ask, Interrupted};
+use crate::error::{require_positive_n, Interrupted};
 use crate::target::Target;
 use crate::tree::{Arena, Frontier, Node, NO_NODE};
 use serde::{Deserialize, Serialize};
@@ -158,84 +180,113 @@ pub fn group_coverage<S: AnswerSource>(
     }
 
     let mut cnt = 0usize;
+    let mut round: Vec<u32> = Vec::new();
+    let mut sets: Vec<&[ObjectId]> = Vec::new();
 
-    // Line 4: main loop.
-    while let Some(first) = frontier.pop(&arena.removed) {
-        let mut id = first;
-        // `known_yes` models the sibling substitution of line 12: after a
-        // *no* at one child, the other child of a *yes* parent must contain
-        // a member, so it is processed without issuing a task.
-        let mut known_yes = false;
-        loop {
-            let node = arena.nodes[id as usize];
-            let ans = if known_yes {
-                true
-            } else {
-                try_ask!(
-                    engine.ask_set(&pool[node.b as usize..node.e as usize], target),
-                    GroupCoverageOutcome {
-                        covered: false,
-                        count: cnt,
-                        set_queries: engine.ledger().since(&before).set_queries(),
-                        witnesses,
-                    }
-                )
+    // Line 4: main loop, one round of set queries per pass.
+    loop {
+        let width = match config.traversal {
+            Traversal::Bfs => tau - cnt,
+            Traversal::Dfs => 1,
+        };
+        round.clear();
+        while round.len() < width {
+            let Some(id) = frontier.peek(&arena.removed) else {
+                break;
             };
-            arena.nodes[id as usize].done = true;
-
-            if node.is_root() {
-                if !ans {
-                    break; // line 9: prune the whole root set
-                }
-                cnt += 1;
-            } else if !ans {
-                // Lines 11-13.
-                let sib = node.sibling;
-                debug_assert_ne!(sib, NO_NODE);
-                if arena.nodes[sib as usize].done {
-                    // The sibling already answered yes earlier; nothing new.
-                    break;
-                }
-                // Substitute the sibling, consuming it from the frontier
-                // without issuing a task (its answer is implied).
-                arena.removed[sib as usize] = true;
-                id = sib;
-                known_yes = true;
-                continue;
-            } else {
-                // Lines 14-15: both-children-yes raises the lower bound.
-                let parent = node.parent as usize;
-                if arena.nodes[parent].checked {
-                    cnt += 1;
-                } else {
-                    arena.nodes[parent].checked = true;
-                }
+            // The front of the queue is asked next in any order; anything
+            // behind it joins only if its ask is already decided.
+            if !round.is_empty() && !ask_is_decided(&arena, id) {
+                break;
             }
-
-            // Re-read: `node` may be the substituted sibling now.
-            let node = arena.nodes[id as usize];
-            if config.collect_witnesses && node.len() == 1 {
-                witnesses.push(pool[node.b as usize]);
-            }
-
-            // Line 16: stop as soon as the lower bound proves coverage.
-            if cnt >= tau {
-                let used = engine.ledger().since(&before).set_queries();
-                return Ok(GroupCoverageOutcome {
-                    covered: true,
-                    count: cnt,
-                    set_queries: used,
-                    witnesses,
-                });
-            }
-
-            // Lines 17-20: split yes-sets larger than one.
-            if node.len() > 1 {
-                let (left, right) = arena.split(id);
-                frontier.push(left);
-                frontier.push(right);
-            }
+            frontier.pop(&arena.removed);
+            round.push(id);
+        }
+        if round.is_empty() {
             break;
+        }
+        sets.clear();
+        sets.extend(round.iter().map(|id| {
+            let node = arena.nodes[*id as usize];
+            &pool[node.b as usize..node.e as usize]
+        }));
+        let (answers, error) = match engine.ask_sets(&sets, target) {
+            Ok(answers) => (answers, None),
+            Err(Interrupted { error, partial }) => (partial, Some(error)),
+        };
+
+        for (&asked, &answer) in round.iter().zip(&answers) {
+            let (mut id, mut ans) = (asked, answer);
+            loop {
+                let node = arena.nodes[id as usize];
+                arena.nodes[id as usize].done = true;
+
+                if node.is_root() {
+                    if !ans {
+                        break; // line 9: prune the whole root set
+                    }
+                    cnt += 1;
+                } else if !ans {
+                    // Lines 11-13.
+                    let sib = node.sibling;
+                    debug_assert_ne!(sib, NO_NODE);
+                    if arena.nodes[sib as usize].done {
+                        // The sibling already answered yes earlier; nothing new.
+                        break;
+                    }
+                    // Substitute the sibling, consuming it from the frontier
+                    // without issuing a task (its answer is implied).
+                    arena.removed[sib as usize] = true;
+                    id = sib;
+                    ans = true;
+                    continue;
+                } else {
+                    // Lines 14-15: both-children-yes raises the lower bound.
+                    let parent = node.parent as usize;
+                    if arena.nodes[parent].checked {
+                        cnt += 1;
+                    } else {
+                        arena.nodes[parent].checked = true;
+                    }
+                }
+
+                if config.collect_witnesses && node.len() == 1 {
+                    witnesses.push(pool[node.b as usize]);
+                }
+
+                // Line 16: stop as soon as the lower bound proves coverage.
+                if cnt >= tau {
+                    let used = engine.ledger().since(&before).set_queries();
+                    return Ok(GroupCoverageOutcome {
+                        covered: true,
+                        count: cnt,
+                        set_queries: used,
+                        witnesses,
+                    });
+                }
+
+                // Lines 17-20: split yes-sets larger than one.
+                if node.len() > 1 {
+                    let (left, right) = arena.split(id);
+                    frontier.push(left);
+                    frontier.push(right);
+                }
+                break;
+            }
+        }
+
+        if let Some(error) = error {
+            // A cut round delivered fewer than τ − cnt answers, so `cnt`
+            // is still below τ: the partial is the one-at-a-time one.
+            return Err(Interrupted {
+                error,
+                partial: GroupCoverageOutcome {
+                    covered: false,
+                    count: cnt,
+                    set_queries: engine.ledger().since(&before).set_queries(),
+                    witnesses,
+                },
+            });
         }
     }
 
@@ -247,6 +298,17 @@ pub fn group_coverage<S: AnswerSource>(
         set_queries: used,
         witnesses,
     })
+}
+
+/// Does the one-at-a-time loop certainly ask `id` when it reaches it?
+/// Roots and left children are always asked. A right child is asked only
+/// after its left sibling answered *yes*; after a *no* it is substituted
+/// for free (line 12), so while the left sibling is unanswered its ask is
+/// undecided. (A right child whose left sibling said *no* is tombstoned
+/// and never reaches this check.)
+fn ask_is_decided(arena: &Arena, id: u32) -> bool {
+    let node = arena.nodes[id as usize];
+    node.is_root() || node.sibling > id || arena.nodes[node.sibling as usize].done
 }
 
 #[cfg(test)]
@@ -479,8 +541,229 @@ mod tests {
         );
     }
 
+    /// Records the object range `[b, e)` of every set in every
+    /// `try_answer_sets` call, one entry per round, over a pool of ids
+    /// `t0..tN` in order.
+    struct RoundSpy<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        rounds: Vec<Vec<(u32, u32)>>,
+    }
+
+    impl<'a> RoundSpy<'a> {
+        fn new(truth: &'a VecGroundTruth) -> Self {
+            Self {
+                inner: PerfectSource::new(truth),
+                rounds: Vec::new(),
+            }
+        }
+    }
+
+    impl AnswerSource for RoundSpy<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, crate::error::AskError> {
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(
+            &mut self,
+            object: ObjectId,
+        ) -> Result<Labels, crate::error::AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+
+        fn try_answer_sets(
+            &mut self,
+            sets: &[&[ObjectId]],
+            target: &Target,
+            out: &mut Vec<bool>,
+        ) -> Result<(), crate::error::AskError> {
+            self.rounds.push(
+                sets.iter()
+                    .map(|s| (s[0].0, s[s.len() - 1].0 + 1))
+                    .collect(),
+            );
+            for objects in sets {
+                out.push(self.inner.try_answer_set(objects, target)?);
+            }
+            Ok(())
+        }
+    }
+
+    /// The rounds `group_coverage` asks over `truth` and its outcome.
+    fn schedule(
+        truth: &VecGroundTruth,
+        tau: usize,
+        n: usize,
+        traversal: Traversal,
+    ) -> (Vec<Vec<(u32, u32)>>, GroupCoverageOutcome) {
+        let mut engine = Engine::new(RoundSpy::new(truth));
+        let config = DncConfig {
+            traversal,
+            collect_witnesses: true,
+        };
+        let out =
+            group_coverage(&mut engine, &truth.all_ids(), &minority(), tau, n, &config).unwrap();
+        assert_eq!(engine.ledger().set_queries(), out.set_queries);
+        (engine.into_source().rounds, out)
+    }
+
+    /// One question of the one-at-a-time BFS reference.
+    #[derive(Debug)]
+    struct Asked {
+        range: (u32, u32),
+        /// For a right child, its left sibling's range.
+        left_sibling: Option<(u32, u32)>,
+        /// `cnt` just before the question was asked.
+        cnt_before: usize,
+    }
+
+    /// Algorithm 1 with a FIFO queue, asking strictly one question at a
+    /// time: the reference every round schedule must reproduce.
+    fn one_at_a_time(truth: &VecGroundTruth, tau: usize, n: usize) -> Vec<Asked> {
+        let target = minority();
+        let member =
+            |node: Node| (node.b..node.e).any(|i| target.matches(&truth.labels_of(ObjectId(i))));
+        let mut arena = Arena::default();
+        let mut frontier = Frontier::fifo();
+        for b in (0..truth.num_objects()).step_by(n) {
+            let e = (b + n).min(truth.num_objects());
+            frontier.push(arena.push(Node::root(b as u32, e as u32)));
+        }
+        let (mut asked, mut cnt) = (Vec::new(), 0usize);
+        while let Some(first) = frontier.pop(&arena.removed) {
+            let (mut id, mut substituted) = (first, false);
+            loop {
+                let node = arena.nodes[id as usize];
+                let yes = substituted || {
+                    let left = arena.nodes.get(node.sibling as usize);
+                    asked.push(Asked {
+                        range: (node.b, node.e),
+                        left_sibling: left.filter(|_| node.sibling < id).map(|l| (l.b, l.e)),
+                        cnt_before: cnt,
+                    });
+                    member(node)
+                };
+                arena.nodes[id as usize].done = true;
+                if node.is_root() {
+                    if !yes {
+                        break;
+                    }
+                    cnt += 1;
+                } else if !yes {
+                    let sib = node.sibling;
+                    if arena.nodes[sib as usize].done {
+                        break;
+                    }
+                    arena.removed[sib as usize] = true;
+                    (id, substituted) = (sib, true);
+                    continue;
+                } else if arena.nodes[node.parent as usize].checked {
+                    cnt += 1;
+                } else {
+                    arena.nodes[node.parent as usize].checked = true;
+                }
+                if cnt >= tau {
+                    return asked;
+                }
+                if node.len() > 1 {
+                    let (left, right) = arena.split(id);
+                    frontier.push(left);
+                    frontier.push(right);
+                }
+                break;
+            }
+        }
+        asked
+    }
+
+    /// Figure 4 asks its 7 questions in 6 rounds: the root, its left
+    /// child, then the right child with the left child's left child, and
+    /// one question per round once `τ − cnt` is down to one.
+    #[test]
+    fn paper_running_example_rounds() {
+        let truth = truth_from_positions(16, &[4, 7, 12, 13, 15]);
+        let (rounds, out) = schedule(&truth, 3, 16, Traversal::Bfs);
+        assert!(out.covered);
+        assert_eq!(
+            rounds,
+            vec![
+                vec![(0, 16)],
+                vec![(0, 8)],
+                vec![(8, 16), (0, 4)],
+                vec![(8, 12)],
+                vec![(4, 6)],
+                vec![(6, 8)],
+            ]
+        );
+    }
+
+    /// Positives of `prop_correct_decision`'s deterministic placement.
+    fn placed_positives(n_total: usize, density: f64, seed: u64) -> Vec<usize> {
+        let mut positives = Vec::new();
+        let mut state = seed.wrapping_mul(2654435761).wrapping_add(12345);
+        for i in 0..n_total {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if ((state >> 33) as f64 / (1u64 << 31) as f64) < density {
+                positives.push(i);
+            }
+        }
+        positives
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On `prop_correct_decision`'s inputs the BFS rounds, joined, are
+        /// exactly the one-at-a-time question sequence; each round holds at
+        /// most `τ − cnt` questions (cnt at the round's start) and never a
+        /// right child together with its undecided left sibling.
+        #[test]
+        fn prop_rounds_are_prefixes_of_the_sequential_schedule(
+            n_total in 1usize..600,
+            density in 0.0f64..0.3,
+            tau in 1usize..60,
+            n in 1usize..100,
+            seed in 0u64..1000,
+        ) {
+            let truth = truth_from_positions(n_total, &placed_positives(n_total, density, seed));
+            let (rounds, out) = schedule(&truth, tau, n, Traversal::Bfs);
+            let reference = one_at_a_time(&truth, tau, n);
+            let joined: Vec<(u32, u32)> = rounds.iter().flatten().copied().collect();
+            let want: Vec<(u32, u32)> = reference.iter().map(|a| a.range).collect();
+            prop_assert_eq!(&joined, &want);
+            prop_assert_eq!(out.set_queries, want.len() as u64);
+            let mut start = 0;
+            for round in &rounds {
+                prop_assert!(!round.is_empty());
+                prop_assert!(round.len() <= tau - reference[start].cnt_before);
+                for asked in &reference[start..start + round.len()] {
+                    if let Some(left) = asked.left_sibling {
+                        prop_assert!(!round.contains(&left), "{:?} with its left sibling", asked);
+                    }
+                }
+                start += round.len();
+            }
+        }
+
+        /// The depth-first ablation asks one question per round.
+        #[test]
+        fn prop_dfs_rounds_are_single_questions(
+            n_total in 1usize..600,
+            density in 0.0f64..0.3,
+            tau in 1usize..60,
+            n in 1usize..100,
+            seed in 0u64..1000,
+        ) {
+            let truth = truth_from_positions(n_total, &placed_positives(n_total, density, seed));
+            let (rounds, out) = schedule(&truth, tau, n, Traversal::Dfs);
+            prop_assert!(rounds.iter().all(|r| r.len() == 1));
+            prop_assert_eq!(rounds.len() as u64, out.set_queries);
+        }
 
         /// Correctness (Lemma 3.1) on arbitrary compositions, both orders.
         #[test]

@@ -92,7 +92,9 @@ pub mod prelude {
     pub use crate::acquisition::{acquisition_plan, AcquisitionPlan};
     pub use crate::aggregate::{aggregate, SuperGroup};
     pub use crate::base_coverage::base_coverage;
-    pub use crate::bounds::{group_coverage_upper_bound, scan_lower_bound, LogBase};
+    pub use crate::bounds::{
+        group_coverage_envelope, group_coverage_upper_bound, scan_lower_bound, LogBase,
+    };
     pub use crate::classifier::{
         classifier_coverage, ClassifierConfig, ClassifierOutcome, FpElimination,
     };

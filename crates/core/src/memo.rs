@@ -730,6 +730,21 @@ impl ShardedKnowledge {
         }
     }
 
+    /// Commits a delivered answer to the claimed set query `key` whose
+    /// residual was asked: records the whole-query verdict, releases the
+    /// claim and wakes its waiters, then absorbs the per-object
+    /// consequences.
+    fn commit_set_answer(&self, key: (Vec<ObjectId>, Target), residual: &[ObjectId], answer: bool) {
+        let stripe = self.set_stripe(&key.0, &key.1);
+        let mut state = stripe.lock();
+        state.in_flight.remove(&key);
+        let (objects, target) = key;
+        state.verdicts.record_set_verdict(objects, &target, answer);
+        drop(state);
+        stripe.ready.notify_all();
+        self.absorb_set_consequences(residual, &target, answer);
+    }
+
     /// Hands the fact base to `f` one part at a time: first a head part
     /// holding only the [`ReuseStats`], then one part per fact shard and
     /// one per set stripe. Each part is cloned under its own lock and
@@ -777,28 +792,23 @@ impl ShardedKnowledge {
     }
 }
 
-/// Removes a claimed set-query key and wakes its stripe if the claiming
-/// handle exits without committing an answer — an `Err` from the inner
-/// source or a genuine panic; a waiter then re-claims the question instead
-/// of blocking forever.
+/// Removes every claimed set-query key still held and wakes its stripe if
+/// the claiming handle exits without committing an answer — an `Err` from
+/// the inner source or a genuine panic; a waiter then re-claims the
+/// question instead of blocking forever.
 struct SetFlightGuard<'a> {
-    stripe: &'a Stripe<SetStripeState>,
-    key: Option<(Vec<ObjectId>, Target)>,
-}
-
-impl SetFlightGuard<'_> {
-    fn disarm(&mut self) {
-        self.key = None;
-    }
+    shared: &'a ShardedKnowledge,
+    keys: Vec<(Vec<ObjectId>, Target)>,
 }
 
 impl Drop for SetFlightGuard<'_> {
     fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            let mut state = self.stripe.lock();
+        for key in self.keys.drain(..) {
+            let stripe = self.shared.set_stripe(&key.0, &key.1);
+            let mut state = stripe.lock();
             state.in_flight.remove(&key);
             drop(state);
-            self.stripe.ready.notify_all();
+            stripe.ready.notify_all();
         }
     }
 }
@@ -1127,32 +1137,22 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
                 }
             }
         };
+        // Failed questions are not recorded: the guard releases the claim,
+        // a coalesced waiter wakes, re-claims the question and pays for it
+        // itself — one handle's budget abort must not poison another
+        // handle's identical ask.
         let mut guard = SetFlightGuard {
-            stripe,
-            key: Some(key.clone()),
+            shared: &shared,
+            keys: vec![key],
         };
-        let result = self.inner.try_answer_set(&residual, target);
-        let mut state = stripe.lock();
-        state.in_flight.remove(&key);
-        if let Ok(ans) = &result {
-            // Failed questions are not recorded: a coalesced waiter wakes,
-            // re-claims the question and pays for it itself — one handle's
-            // budget abort must not poison another handle's identical ask.
-            state
-                .verdicts
-                .record_set_verdict(key.0.clone(), target, *ans);
+        let ans = self.inner.try_answer_set(&residual, target)?;
+        let key = guard.keys.pop().expect("the claim is still held");
+        shared.commit_set_answer(key, &residual, ans);
+        self.record_forwarded(1, pruned as u64);
+        if let Some(sink) = shared.sink.get() {
+            sink.on_set_verdict(objects, &residual, target, ans);
         }
-        drop(state);
-        guard.disarm();
-        stripe.ready.notify_all();
-        if let Ok(ans) = &result {
-            shared.absorb_set_consequences(&residual, target, *ans);
-            self.record_forwarded(1, pruned as u64);
-            if let Some(sink) = shared.sink.get() {
-                sink.on_set_verdict(objects, &residual, target, *ans);
-            }
-        }
-        result
+        Ok(ans)
     }
 
     fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
@@ -1260,6 +1260,41 @@ impl<S: AnswerSource> AnswerSource for SharedKnowledgeSource<S> {
         out.extend(labels.iter().map(|l| target.matches(l)));
         result
     }
+
+    /// Answers the round in runs, as
+    /// [`try_answer_point_labels_many`](AnswerSource::try_answer_point_labels_many)
+    /// does. Each run resolves the sets in input order — the exact verdict
+    /// first, then the object facts — and claims the unknown ones, up to
+    /// the first set another handle has in flight; forwards the claimed
+    /// residuals to the inner source in **one** round, commits the
+    /// answered ones in order, releases the rest and delivers the answered
+    /// prefix. The in-flight set is then waited out through the single
+    /// path before anything behind it is claimed.
+    ///
+    /// A run resolves all its sets before any of its answers commit, which
+    /// gives the residuals one-at-a-time asking gives only when no set
+    /// shares an object with a set claimed earlier in the run; a run
+    /// therefore also ends at such a set (never the case for
+    /// Group-Coverage, whose rounds hold pairwise disjoint sets), and the
+    /// next run resolves it against the committed answers. Hits are
+    /// counted only for delivered sets, so a round leaves the same answers,
+    /// spend and [`ReuseStats`] as asking one set at a time.
+    fn try_answer_sets(
+        &mut self,
+        sets: &[&[ObjectId]],
+        target: &Target,
+        out: &mut Vec<bool>,
+    ) -> Result<(), AskError> {
+        let mut start = 0;
+        while start < sets.len() {
+            start += self.forward_set_run(&sets[start..], target, out)?;
+            if let Some(objects) = sets.get(start) {
+                out.push(self.try_answer_set(objects, target)?);
+                start += 1;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<S: AnswerSource> SharedKnowledgeSource<S> {
@@ -1359,6 +1394,127 @@ impl<S: AnswerSource> SharedKnowledgeSource<S> {
                 },
             };
             out.push(labels);
+        }
+        self.record_hits(hits);
+        result
+    }
+
+    /// One run of [`AnswerSource::try_answer_sets`]: answers `sets` up to
+    /// the first one another handle has in flight (or that shares an
+    /// object with a set claimed earlier in the run), with every claimed
+    /// residual forwarded in one inner round, and returns how many input
+    /// positions it delivered.
+    fn forward_set_run(
+        &mut self,
+        sets: &[&[ObjectId]],
+        target: &Target,
+        out: &mut Vec<bool>,
+    ) -> Result<usize, AskError> {
+        /// Where one input position's answer comes from.
+        enum Slot {
+            Known(bool),
+            /// Index into the claims.
+            Claimed(usize),
+        }
+        /// A claimed set query: its input position, the residual forwarded
+        /// and how many objects were pruned from it.
+        struct Claim {
+            position: usize,
+            residual: Vec<ObjectId>,
+            pruned: usize,
+        }
+        let shared = Arc::clone(&self.shared);
+        let mut slots = Vec::with_capacity(sets.len());
+        let mut claims: Vec<Claim> = Vec::new();
+        // On Err the guard's Drop releases every claim left unanswered and
+        // wakes the waiters, who then re-claim those sets.
+        let mut guard = SetFlightGuard {
+            shared: &shared,
+            keys: Vec::new(),
+        };
+        let mut claimed_objects: HashSet<ObjectId> = HashSet::new();
+        for (position, objects) in sets.iter().enumerate() {
+            if objects.iter().any(|o| claimed_objects.contains(o)) {
+                break;
+            }
+            let stripe = shared.set_stripe(objects, target);
+            // Exact whole-query verdict first, then the object facts.
+            let verdict = stripe.lock().verdicts.set_verdict(objects, target);
+            let resolution = match verdict {
+                Some(ans) => SetResolution::Known(ans),
+                None => shared.resolve_objects(objects, target),
+            };
+            let (residual, pruned) = match resolution {
+                SetResolution::Known(ans) => {
+                    slots.push(Slot::Known(ans));
+                    continue;
+                }
+                SetResolution::Ask { residual, pruned } => (residual, pruned),
+            };
+            let mut state = stripe.lock();
+            // A verdict may have been committed between the fact scan and
+            // this claim; re-check before claiming.
+            if let Some(ans) = state.verdicts.set_verdict(objects, target) {
+                slots.push(Slot::Known(ans));
+                continue;
+            }
+            let key = (objects.to_vec(), target.clone());
+            if state.in_flight.contains(&key) {
+                // In flight elsewhere: the run ends here.
+                break;
+            }
+            state.in_flight.insert(key.clone());
+            drop(state);
+            guard.keys.push(key);
+            claimed_objects.extend(&residual);
+            slots.push(Slot::Claimed(claims.len()));
+            claims.push(Claim {
+                position,
+                residual,
+                pruned,
+            });
+        }
+
+        let mut fresh = Vec::with_capacity(claims.len());
+        let forwarded = if claims.is_empty() {
+            Ok(())
+        } else {
+            let residuals: Vec<&[ObjectId]> = claims.iter().map(|c| &c.residual[..]).collect();
+            let forwarded = self.inner.try_answer_sets(&residuals, target, &mut fresh);
+            fresh.truncate(claims.len());
+            let answered: Vec<_> = guard.keys.drain(..fresh.len()).collect();
+            for ((key, claim), ans) in answered.into_iter().zip(&claims).zip(&fresh) {
+                shared.commit_set_answer(key, &claim.residual, *ans);
+            }
+            drop(guard);
+            for (claim, ans) in claims.iter().zip(&fresh) {
+                self.record_forwarded(1, claim.pruned as u64);
+                if let Some(sink) = shared.sink.get() {
+                    sink.on_set_verdict(sets[claim.position], &claim.residual, target, *ans);
+                }
+            }
+            forwarded
+        };
+
+        let mut hits = 0u64;
+        let mut result = Ok(slots.len());
+        for slot in slots {
+            let ans = match slot {
+                Slot::Known(ans) => {
+                    hits += 1;
+                    ans
+                }
+                Slot::Claimed(k) => match fresh.get(k) {
+                    Some(ans) => *ans,
+                    None => {
+                        result = Err(forwarded.clone().err().unwrap_or_else(|| {
+                            AskError::SourceFailed("inner source answered a short round".into())
+                        }));
+                        break;
+                    }
+                },
+            };
+            out.push(ans);
         }
         self.record_hits(hits);
         result
@@ -1882,6 +2038,221 @@ mod tests {
         assert_eq!(src.local_reuse_stats().forwarded, 2);
         for shard in &shared.fact_shards {
             assert!(shard.lock().label_in_flight.is_empty());
+        }
+    }
+
+    /// Answers the first `allow` set queries, then refuses.
+    #[derive(Debug, Clone)]
+    struct CappedSets<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        allow: usize,
+    }
+
+    impl AnswerSource for CappedSets<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            if self.allow == 0 {
+                return Err(AskError::SourceFailed("cap".into()));
+            }
+            self.allow -= 1;
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+    }
+
+    /// One committed set verdict: `(objects, residual, answer)`.
+    type SetRecord = (Vec<ObjectId>, Vec<ObjectId>, bool);
+
+    /// Logs every committed set verdict in commit order.
+    #[derive(Debug, Default)]
+    struct SetLog(Mutex<Vec<SetRecord>>);
+
+    impl FactSink for SetLog {
+        fn on_labels(&self, _: ObjectId, _: Labels) {}
+
+        fn on_set_verdict(
+            &self,
+            objects: &[ObjectId],
+            residual: &[ObjectId],
+            _: &Target,
+            ans: bool,
+        ) {
+            let entry = (objects.to_vec(), residual.to_vec(), ans);
+            self.0.lock().unwrap().push(entry);
+        }
+    }
+
+    /// A set round under a cut delivers what one-at-a-time asking
+    /// delivers — the same prefix, spend, stats, stored facts and sink
+    /// records — with exact-verdict hits, fact hits, narrowed sets, fresh
+    /// sets and sets overlapping an earlier set of the round mixed in.
+    #[test]
+    fn round_of_sets_matches_one_at_a_time_under_any_cut() {
+        let t = truth(60, 12);
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let round: Vec<&[ObjectId]> = vec![
+            &ids[0..5],   // holds a known member: hit
+            &ids[20..30], // fresh: no
+            &ids[30..34], // one known non-member: narrowed
+            &ids[40..45], // exact verdict known: hit
+            &ids[8..12],  // fresh: yes
+            &ids[25..28], // inside the earlier no: hit once that commits
+            &ids[50..55], // fresh: no
+            &ids[10..11], // inside the earlier yes: fresh singleton
+            &ids[45..50], // fresh: no
+        ];
+        for allow in 0..=7 {
+            let fresh = || {
+                let src = SharedKnowledgeSource::with_shards(
+                    CappedSets {
+                        inner: PerfectSource::new(&t),
+                        allow,
+                    },
+                    3,
+                );
+                let mut seeded = KnowledgeStore::new();
+                for id in [ids[2], ids[31]] {
+                    seeded.record_labels(id, t.labels_of(id));
+                }
+                seeded.record_set_answer(&ids[40..45], &ids[40..45], &female, false);
+                src.seed_store(&seeded);
+                let log = Arc::new(SetLog::default());
+                src.set_fact_sink(Arc::clone(&log) as Arc<dyn FactSink>);
+                (src, log)
+            };
+            let (mut batched, batched_log) = fresh();
+            let mut got = Vec::new();
+            let batched_result = batched.try_answer_sets(&round, &female, &mut got);
+            let (mut single, single_log) = fresh();
+            let mut want = Vec::new();
+            let mut single_result = Ok(());
+            for objects in &round {
+                match single.try_answer_set(objects, &female) {
+                    Ok(ans) => want.push(ans),
+                    Err(e) => {
+                        single_result = Err(e);
+                        break;
+                    }
+                }
+            }
+            assert_eq!(got, want, "allow={allow}");
+            assert_eq!(batched_result, single_result, "allow={allow}");
+            assert_eq!(batched.reuse_stats(), single.reuse_stats(), "allow={allow}");
+            assert_eq!(batched.local_reuse_stats(), single.local_reuse_stats());
+            assert_eq!(batched.inner().allow, single.inner().allow, "spend");
+            assert_eq!(batched.store_snapshot(), single.store_snapshot());
+            assert_eq!(
+                *batched_log.0.lock().unwrap(),
+                *single_log.0.lock().unwrap()
+            );
+            for stripe in &batched.shared.set_stripes {
+                assert!(stripe.lock().in_flight.is_empty(), "allow={allow}");
+            }
+        }
+    }
+
+    /// Records every set query it forwards and, at the first one, signals
+    /// `opened` once.
+    struct Gate<'a> {
+        inner: CappedSets<'a>,
+        asked: Vec<Vec<ObjectId>>,
+        opened: Option<std::sync::mpsc::Sender<()>>,
+    }
+
+    impl AnswerSource for Gate<'_> {
+        fn try_answer_set(
+            &mut self,
+            objects: &[ObjectId],
+            target: &Target,
+        ) -> Result<bool, AskError> {
+            self.asked.push(objects.to_vec());
+            if let Some(opened) = self.opened.take() {
+                opened.send(()).unwrap();
+            }
+            self.inner.try_answer_set(objects, target)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+    }
+
+    /// A set another handle has in flight is waited out before anything
+    /// behind it is claimed. When that flight delivers, the round takes its
+    /// verdict for free; when it fails, the round re-asks the set ahead of
+    /// the later ones, so at a spend cap it delivers the prefix
+    /// one-at-a-time asking delivers and pays for nothing else.
+    #[test]
+    fn round_waits_out_a_set_in_flight_elsewhere_and_reasks_a_failed_flight() {
+        let t = truth(30, 12);
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let round: Vec<&[ObjectId]> = vec![&ids[0..10], &ids[10..20], &ids[20..30]];
+        for other_delivers in [false, true] {
+            let (opened, first_forward) = std::sync::mpsc::channel();
+            let mut src = SharedKnowledgeSource::new(Gate {
+                inner: CappedSets {
+                    inner: PerfectSource::new(&t),
+                    allow: 2,
+                },
+                asked: Vec::new(),
+                opened: Some(opened),
+            });
+            let held = (round[1].to_vec(), female.clone());
+            let shared = Arc::clone(&src.shared);
+            let stripe = shared.set_stripe(&held.0, &held.1);
+            stripe.lock().in_flight.insert(held.clone());
+            let mut out = Vec::new();
+            let result = std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    // Once the round has forwarded its first set, the other
+                    // handle's flight ends. (The timeout only keeps a broken
+                    // round from hanging the test; the checks below then
+                    // fail.)
+                    let _ = first_forward.recv_timeout(std::time::Duration::from_secs(10));
+                    let mut state = stripe.lock();
+                    state.in_flight.remove(&held);
+                    if other_delivers {
+                        state.verdicts.record_set_verdict(held.0, &held.1, true);
+                    }
+                    drop(state);
+                    stripe.ready.notify_all();
+                });
+                src.try_answer_sets(&round, &female, &mut out)
+            });
+            let asked: Vec<&[ObjectId]> = src.inner().asked.iter().map(|s| &s[..]).collect();
+            let stats = src.local_reuse_stats();
+            if other_delivers {
+                assert_eq!(result, Ok(()));
+                assert_eq!(out, vec![true, true, false]);
+                assert_eq!(
+                    asked,
+                    vec![round[0], round[2]],
+                    "the held set is never asked"
+                );
+                assert_eq!((stats.forwarded, stats.hits), (2, 1));
+            } else {
+                assert!(matches!(result, Err(AskError::SourceFailed(_))));
+                // The first set and the re-asked second spend the cap; the
+                // third is refused.
+                assert_eq!(out, vec![true, true]);
+                assert_eq!(
+                    asked, round,
+                    "the held set is asked before the one behind it"
+                );
+                assert_eq!((stats.forwarded, stats.hits), (2, 0));
+            }
+            assert_eq!(src.inner().inner.allow, 0);
+            for stripe in &shared.set_stripes {
+                assert!(stripe.lock().in_flight.is_empty());
+            }
         }
     }
 

@@ -75,14 +75,29 @@ impl Frontier {
 
     /// Pops the next non-tombstoned node id.
     pub fn pop(&mut self, removed: &[bool]) -> Option<u32> {
+        let id = self.peek(removed)?;
+        match self {
+            Self::Fifo(q) => q.pop_front(),
+            Self::Lifo(s) => s.pop(),
+        };
+        Some(id)
+    }
+
+    /// The next non-tombstoned node id, without popping it (tombstones in
+    /// front of it are dropped).
+    pub fn peek(&mut self, removed: &[bool]) -> Option<u32> {
         loop {
             let id = match self {
-                Self::Fifo(q) => q.pop_front()?,
-                Self::Lifo(s) => s.pop()?,
+                Self::Fifo(q) => *q.front()?,
+                Self::Lifo(s) => *s.last()?,
             };
             if !removed[id as usize] {
                 return Some(id);
             }
+            match self {
+                Self::Fifo(q) => q.pop_front(),
+                Self::Lifo(s) => s.pop(),
+            };
         }
     }
 }
@@ -173,6 +188,18 @@ mod tests {
         assert_eq!(f.pop(&removed), Some(0));
         assert_eq!(f.pop(&removed), Some(2)); // 1 skipped
         assert_eq!(f.pop(&removed), None);
+    }
+
+    #[test]
+    fn peek_skips_tombstones_without_popping() {
+        let removed = vec![true, false, false];
+        for (mut f, first) in [(Frontier::fifo(), 1), (Frontier::lifo(), 2)] {
+            for id in 0..3 {
+                f.push(id);
+            }
+            assert_eq!(f.peek(&removed), Some(first));
+            assert_eq!(f.pop(&removed), Some(first));
+        }
     }
 
     #[test]

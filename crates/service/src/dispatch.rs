@@ -3,29 +3,34 @@
 //! Concurrent jobs never touch the answer source directly. Each job holds a
 //! `DispatchHandle` (an ordinary [`AnswerSource`]) that ships questions
 //! over a channel to the dispatcher thread, which owns the real
-//! [`BatchAnswerSource`]. Only two question shapes reach it: set queries
-//! and rounds of point-label queries. Per round the dispatcher drains
-//! everything pending, serves each set query as its own HIT in arrival
-//! order, coalesces the point queries into `point_batch`-image HITs (the
-//! paper's HIT layout), and replies. Point questions from *different*
-//! jobs thus share HITs, and — when a simulated platform round-trip
-//! latency is configured — every question drained together shares the
-//! waiting time: the concurrency win the `concurrent_audits` example
-//! reports as its serial-vs-concurrent speedup.
+//! [`BatchAnswerSource`]. Only two question shapes reach it: rounds of set
+//! queries and rounds of point-label queries. Per round the dispatcher
+//! drains everything pending, serves each set query as its own HIT in
+//! arrival order, coalesces the point queries into `point_batch`-image
+//! HITs (the paper's HIT layout), and replies. Point questions from
+//! *different* jobs thus share HITs, and — when a simulated platform
+//! round-trip latency is configured — every question drained together
+//! shares the waiting time: the concurrency win the `concurrent_audits`
+//! example reports as its serial-vs-concurrent speedup.
 //!
 //! ## How a round is assembled
 //!
-//! A job ships each of its point rounds
-//! ([`AnswerSource::try_answer_point_labels_many`]) as **one** request; a
-//! single point query is the one-object round. When the dispatcher drains
-//! its channel, every job's point objects join one queue in request order,
-//! which is cut into `point_batch`-object HITs — a HIT may carry several
-//! jobs' objects and a job's round may span several HITs. Each job gets
-//! one reply assembled from its slices. A HIT is all-or-nothing, so when
-//! one fails, each job riding in it keeps the labels of its earlier HITs
-//! plus the error, and its later objects are dropped from the HITs still
-//! to come: the job receives exactly its answered prefix. A round's
-//! question count counts objects, not requests.
+//! A job ships each of its rounds as **one** request: a set round
+//! ([`AnswerSource::try_answer_sets`], one level of Group-Coverage's tree)
+//! or a point round ([`AnswerSource::try_answer_point_labels_many`]). A
+//! single question is the one-set or one-object round, so there is no
+//! second path. Each set of a set round is still its own HIT under its own
+//! retry loop; when one fails, that job receives the answers of its
+//! earlier sets plus the error, its later sets are not served, and every
+//! other job's sets are untouched. When the dispatcher drains its channel,
+//! every job's point objects join one queue in request order, which is
+//! cut into `point_batch`-object HITs — a HIT may carry several jobs'
+//! objects and a job's round may span several HITs. Each job gets one
+//! reply assembled from its slices. A HIT is all-or-nothing, so when one
+//! fails, each job riding in it keeps the labels of its earlier HITs plus
+//! the error, and its later objects are dropped from the HITs still to
+//! come: the job receives exactly its answered prefix. A round's question
+//! count counts sets and objects, not requests.
 //!
 //! In the full service stack the set queries arriving here are the
 //! **residuals** left after the shared knowledge store decided or narrowed
@@ -191,8 +196,10 @@ pub struct DispatchStats {
 }
 
 enum Question {
-    Set {
-        objects: Vec<ObjectId>,
+    /// One round of set queries about one target (a single set query is
+    /// the one-set case).
+    Sets {
+        sets: Vec<Vec<ObjectId>>,
         target: Target,
     },
     /// One round of independent point queries (a single point query is the
@@ -201,18 +208,23 @@ enum Question {
 }
 
 impl Question {
-    /// How many questions this request carries: a point round counts its
-    /// objects.
+    /// How many questions this request carries: a round counts its sets
+    /// or objects.
     fn count(&self) -> u64 {
         match self {
+            Question::Sets { sets, .. } => sets.len() as u64,
             Question::Points { objects } => objects.len() as u64,
-            _ => 1,
         }
     }
 }
 
 enum Answer {
-    Bool(bool),
+    /// The answers of a set round's answered prefix, in request order, and
+    /// the error that cut it (`None` when every set was answered).
+    Bools {
+        answers: Vec<bool>,
+        error: Option<AskError>,
+    },
     /// The labels of a point round's answered prefix, in request order,
     /// and the error that cut it (`None` when every object was answered).
     Labels {
@@ -303,14 +315,9 @@ impl DispatchHandle {
 
 impl AnswerSource for DispatchHandle {
     fn try_answer_set(&mut self, objects: &[ObjectId], target: &Target) -> Result<bool, AskError> {
-        match self.ask(Question::Set {
-            objects: objects.to_vec(),
-            target: target.clone(),
-        })? {
-            Answer::Bool(b) => Ok(b),
-            Answer::Failed(e) => Err(e),
-            Answer::Labels { .. } => unreachable!("set query answered with labels"),
-        }
+        let mut out = Vec::with_capacity(1);
+        self.try_answer_sets(&[objects], target, &mut out)?;
+        out.pop().ok_or(AskError::ConnectionLost)
     }
 
     fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
@@ -337,7 +344,31 @@ impl AnswerSource for DispatchHandle {
                 error.map_or(Ok(()), Err)
             }
             Answer::Failed(e) => Err(e),
-            Answer::Bool(_) => unreachable!("point query answered with bool"),
+            Answer::Bools { .. } => unreachable!("point query answered with bools"),
+        }
+    }
+
+    /// Ships the whole set round as one request: the dispatcher serves its
+    /// sets in one dispatch round and replies once.
+    fn try_answer_sets(
+        &mut self,
+        sets: &[&[ObjectId]],
+        target: &Target,
+        out: &mut Vec<bool>,
+    ) -> Result<(), AskError> {
+        if sets.is_empty() {
+            return Ok(());
+        }
+        match self.ask(Question::Sets {
+            sets: sets.iter().map(|objects| objects.to_vec()).collect(),
+            target: target.clone(),
+        })? {
+            Answer::Bools { answers, error } => {
+                out.extend(answers);
+                error.map_or(Ok(()), Err)
+            }
+            Answer::Failed(e) => Err(e),
+            Answer::Labels { .. } => unreachable!("set query answered with labels"),
         }
     }
 }
@@ -548,7 +579,7 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
         // relayed as `Answer::Failed` to exactly those jobs — the job
         // runner turns it into `JobStatus::Failed`.
         let mut point_rounds: Vec<PointRound> = Vec::new();
-        let mut sets: Vec<(Vec<ObjectId>, Target, Origin, mpsc::Sender<Answer>)> = Vec::new();
+        let mut set_rounds = Vec::new();
         for request in pending {
             // Intake gate: a tenant whose circuit is open fails fast —
             // its questions never reach the platform until the cooldown's
@@ -578,28 +609,36 @@ pub(crate) fn run_dispatcher<S: BatchAnswerSource>(
                         error: None,
                     });
                 }
-                Question::Set { objects, target } => {
-                    sets.push((objects, target, request.origin, request.reply));
+                Question::Sets { sets, target } => {
+                    set_rounds.push((sets, target, request.origin, request.reply));
                 }
             }
         }
 
         // The round's set queries (post-narrowing residuals) are one HIT
-        // each, served in arrival order under their own retry loops, so a
-        // failure fails only the job that asked.
-        stats.set_queries_served += sets.len() as u64;
-        if sets.len() > 1 {
-            stats.set_batches += 1;
-        }
-        for (objects, target, origin, reply) in sets {
-            let answer =
+        // each, served in arrival order under their own retry loops. A
+        // failure ends only the asking job's set round: that job gets its
+        // answered prefix plus the error.
+        let served_before = stats.set_queries_served;
+        for (sets, target, origin, reply) in set_rounds {
+            let mut answers = Vec::with_capacity(sets.len());
+            let mut error = None;
+            for objects in &sets {
+                stats.set_queries_served += 1;
                 match serve_with_retry(source, cfg, &mut stats, &[&origin], "set question", |s| {
-                    s.try_answer_set(&objects, &target)
+                    s.try_answer_set(objects, &target)
                 }) {
-                    Ok(ans) => Answer::Bool(ans),
-                    Err(e) => Answer::Failed(e),
-                };
-            let _ = reply.send(answer);
+                    Ok(ans) => answers.push(ans),
+                    Err(e) => {
+                        error = Some(e);
+                        break;
+                    }
+                }
+            }
+            let _ = reply.send(Answer::Bools { answers, error });
+        }
+        if stats.set_queries_served - served_before > 1 {
+            stats.set_batches += 1;
         }
 
         serve_point_rounds(source, cfg, &mut stats, point_rounds);
@@ -926,25 +965,41 @@ mod tests {
         queue(handle, Question::Points { objects })
     }
 
-    fn queue_set(
+    fn queue_sets(
         handle: &DispatchHandle,
-        objects: &[ObjectId],
+        sets: &[&[ObjectId]],
         target: &Target,
     ) -> mpsc::Receiver<Answer> {
         queue(
             handle,
-            Question::Set {
-                objects: objects.to_vec(),
+            Question::Sets {
+                sets: sets.iter().map(|objects| objects.to_vec()).collect(),
                 target: target.clone(),
             },
         )
     }
 
-    fn bool_of(answer: Answer) -> Result<bool, AskError> {
+    fn queue_set(
+        handle: &DispatchHandle,
+        objects: &[ObjectId],
+        target: &Target,
+    ) -> mpsc::Receiver<Answer> {
+        queue_sets(handle, &[objects], target)
+    }
+
+    fn bools_of(answer: Answer) -> (Vec<bool>, Option<AskError>) {
         match answer {
-            Answer::Bool(b) => Ok(b),
-            Answer::Failed(e) => Err(e),
+            Answer::Bools { answers, error } => (answers, error),
+            Answer::Failed(e) => (Vec::new(), Some(e)),
             Answer::Labels { .. } => panic!("set query answered with labels"),
+        }
+    }
+
+    fn bool_of(answer: Answer) -> Result<bool, AskError> {
+        match bools_of(answer) {
+            (answers, None) if answers.len() == 1 => Ok(answers[0]),
+            (answers, Some(e)) if answers.is_empty() => Err(e),
+            other => panic!("a one-set round answered {other:?}"),
         }
     }
 
@@ -977,6 +1032,62 @@ mod tests {
         assert_eq!(stats.set_batches, 1);
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.retry_exhausted, 0);
+    }
+
+    #[test]
+    fn one_set_round_is_one_dispatch_round() {
+        let t = truth(200, 30);
+        let target = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let sets: Vec<&[ObjectId]> = vec![&ids[..20], &ids[50..100], &ids[20..40]];
+        let (handle, rx) = dispatch_channel();
+        let stats = std::thread::scope(|scope| {
+            let dispatcher = scope.spawn(|| {
+                let mut source = PerfectSource::new(&t);
+                run_dispatcher(&mut source, rx, &DispatcherConfig::default())
+            });
+            let mut h = handle;
+            let mut out = Vec::new();
+            h.try_answer_sets(&sets, &target, &mut out).unwrap();
+            assert_eq!(out, vec![true, false, true]);
+            drop(h);
+            dispatcher.join().expect("dispatcher")
+        });
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.set_queries_served, 3);
+        assert_eq!(stats.set_batches, 1);
+        assert_eq!(stats.max_round_questions, 3, "a round counts its sets");
+    }
+
+    #[test]
+    fn failed_set_hit_returns_the_answered_prefix_and_spares_other_jobs() {
+        let t = truth(200, 30);
+        let target = Target::group(Pattern::parse("1").unwrap());
+        let ids = t.all_ids();
+        let (handle, rx) = dispatch_channel();
+        // Job 1's second set holds an out-of-range id, so its HIT fails
+        // permanently; job 2's set is drained in the same round.
+        let bad: &[ObjectId] = &[ObjectId(0), ObjectId(999)];
+        let a = queue_sets(
+            &handle.tagged("a", 1),
+            &[&ids[..50], bad, &ids[100..150]],
+            &target,
+        );
+        let b = queue_set(&handle.tagged("b", 2), &ids[150..], &target);
+        drop(handle);
+        let mut source = crate::tests::CheckedSource { truth: &t };
+        let stats = run_dispatcher(&mut source, rx, &DispatcherConfig::default());
+        let (answers, error) = bools_of(a.recv().unwrap());
+        assert_eq!(answers, vec![true], "only the set before the failure");
+        assert!(matches!(error, Some(AskError::SourceFailed(_))));
+        assert_eq!(bool_of(b.recv().unwrap()), Ok(false));
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(
+            stats.set_queries_served, 3,
+            "job 1's third set is never served"
+        );
+        assert_eq!(stats.set_batches, 1);
+        assert_eq!((stats.retries, stats.retry_exhausted), (0, 0));
     }
 
     /// Records the objects of every set query delivered to `inner`, so a
@@ -1056,7 +1167,7 @@ mod tests {
         match answer {
             Answer::Labels { labels, error } => (labels, error),
             Answer::Failed(e) => (Vec::new(), Some(e)),
-            Answer::Bool(_) => panic!("point round answered with bool"),
+            Answer::Bools { .. } => panic!("point round answered with bools"),
         }
     }
 

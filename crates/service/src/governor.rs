@@ -143,9 +143,10 @@ impl GlobalBudget {
         Ok(())
     }
 
-    /// Returns `points` charged labels that were never delivered.
-    fn refund_points(&self, points: u64) {
+    /// Returns charged questions that were never delivered.
+    fn refund(&self, sets: u64, points: u64) {
         let mut spend = self.lock();
+        spend.set_queries = spend.set_queries.saturating_sub(sets);
         spend.point_labels = spend.point_labels.saturating_sub(points);
     }
 }
@@ -223,23 +224,28 @@ impl JobBudget {
         Ok(())
     }
 
-    /// Charges point labels one at a time, in order, until a cap refuses
-    /// one: the number admitted, and the refusal if there was one.
-    fn charge_points(&self, count: usize) -> (usize, Option<AskError>) {
+    /// Charges `count` questions of `sets` set queries and `points` labels
+    /// each, one at a time, in order, until a cap refuses one: the number
+    /// admitted, and the refusal if there was one.
+    fn charge_each(&self, count: usize, sets: u64, points: u64) -> (usize, Option<AskError>) {
         for admitted in 0..count {
-            if let Err(refusal) = self.charge(0, 1) {
+            if let Err(refusal) = self.charge(sets, points) {
                 return (admitted, Some(refusal));
             }
         }
         (count, None)
     }
 
-    /// Returns `points` charged labels that were never delivered, on both
+    /// Returns charged questions that were never delivered, on both
     /// ledgers.
-    fn refund_points(&self, points: u64) {
+    fn refund(&self, sets: u64, points: u64) {
+        if sets == 0 && points == 0 {
+            return;
+        }
         let mut spend = self.lock();
+        spend.set_queries = spend.set_queries.saturating_sub(sets);
         spend.point_labels = spend.point_labels.saturating_sub(points);
-        self.global.refund_points(points);
+        self.global.refund(sets, points);
     }
 }
 
@@ -284,20 +290,42 @@ impl<S: AnswerSource> AnswerSource for GovernedSource<S> {
         objects: &[ObjectId],
         out: &mut Vec<Labels>,
     ) -> Result<(), AskError> {
-        let (admitted, refusal) = self.budget.charge_points(objects.len());
+        let (admitted, refusal) = self.budget.charge_each(objects.len(), 0, 1);
         let before = out.len();
-        if let Err(error) = self
+        let result = self
             .inner
-            .try_answer_point_labels_many(&objects[..admitted], out)
-        {
-            let answered = out.len() - before;
-            let undelivered = admitted.saturating_sub(answered + 1);
-            if undelivered > 0 {
-                self.budget.refund_points(undelivered as u64);
-            }
-            return Err(error);
-        }
-        refusal.map_or(Ok(()), Err)
+            .try_answer_point_labels_many(&objects[..admitted], out);
+        let undelivered = undelivered(admitted, out.len() - before, &result);
+        self.budget.refund(0, undelivered);
+        result.and(refusal.map_or(Ok(()), Err))
+    }
+
+    /// Charges the round set by set, in order, exactly as the point round
+    /// is charged object by object: the admitted prefix is forwarded in one
+    /// inner round, and sets that were never delivered are refunded.
+    fn try_answer_sets(
+        &mut self,
+        sets: &[&[ObjectId]],
+        target: &Target,
+        out: &mut Vec<bool>,
+    ) -> Result<(), AskError> {
+        let (admitted, refusal) = self.budget.charge_each(sets.len(), 1, 0);
+        let before = out.len();
+        let result = self.inner.try_answer_sets(&sets[..admitted], target, out);
+        let undelivered = undelivered(admitted, out.len() - before, &result);
+        self.budget.refund(undelivered, 0);
+        result.and(refusal.map_or(Ok(()), Err))
+    }
+}
+
+/// How many of `admitted` charged questions were never delivered by an
+/// inner round that answered `answered` of them: none on success; on a
+/// failure, the ones behind the failed question (which stays charged, as
+/// on the one-at-a-time path).
+fn undelivered(admitted: usize, answered: usize, result: &Result<(), AskError>) -> u64 {
+    match result {
+        Ok(()) => 0,
+        Err(_) => admitted.saturating_sub(answered + 1) as u64,
     }
 }
 
@@ -445,6 +473,110 @@ mod tests {
         // would have charged; the 33 never asked are refunded.
         assert_eq!(budget.tasks_spent(), 7);
         assert_eq!(global.tasks_spent(), 7);
+    }
+
+    /// Records every set round it is asked and fails set queries from the
+    /// `fail_at`-th on.
+    struct SetRounds<'a> {
+        inner: PerfectSource<'a, VecGroundTruth>,
+        rounds: Vec<usize>,
+        fail_at: usize,
+        asked: usize,
+    }
+
+    impl AnswerSource for SetRounds<'_> {
+        fn try_answer_set(&mut self, o: &[ObjectId], t: &Target) -> Result<bool, AskError> {
+            self.asked += 1;
+            if self.asked > self.fail_at {
+                return Err(AskError::SourceFailed("down".into()));
+            }
+            self.inner.try_answer_set(o, t)
+        }
+
+        fn try_answer_point_labels(&mut self, object: ObjectId) -> Result<Labels, AskError> {
+            self.inner.try_answer_point_labels(object)
+        }
+
+        fn try_answer_sets(
+            &mut self,
+            sets: &[&[ObjectId]],
+            target: &Target,
+            out: &mut Vec<bool>,
+        ) -> Result<(), AskError> {
+            self.rounds.push(sets.len());
+            for objects in sets {
+                out.push(self.try_answer_set(objects, target)?);
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn cap_inside_a_set_round_charges_and_forwards_only_the_prefix() {
+        let t = truth(100, 30);
+        let ids = t.all_ids();
+        let sets: Vec<&[ObjectId]> = ids.chunks(10).collect();
+        for cap in 0..12u64 {
+            let budget = JobBudget::new(Some(cap), GlobalBudget::new(None, 50));
+            let mut round = GovernedSource::new(
+                SetRounds {
+                    inner: PerfectSource::new(&t),
+                    rounds: Vec::new(),
+                    fail_at: usize::MAX,
+                    asked: 0,
+                },
+                budget.clone(),
+            );
+            let mut got = Vec::new();
+            let result = round.try_answer_sets(&sets, &female(), &mut got);
+
+            let single_budget = JobBudget::new(Some(cap), GlobalBudget::new(None, 50));
+            let mut single = GovernedSource::new(PerfectSource::new(&t), single_budget.clone());
+            let mut want = Vec::new();
+            let mut single_result = Ok(());
+            for objects in &sets {
+                match single.try_answer_set(objects, &female()) {
+                    Ok(ans) => want.push(ans),
+                    Err(e) => {
+                        single_result = Err(e);
+                        break;
+                    }
+                }
+            }
+            let admitted = (cap as usize).min(sets.len());
+            assert_eq!(got, want, "cap {cap}");
+            assert_eq!(result, single_result, "cap {cap}");
+            assert_eq!(budget.ledger(), single_budget.ledger(), "cap {cap}");
+            assert_eq!(budget.tasks_spent(), admitted as u64);
+            // Only the admitted prefix reached the inner source, in one round.
+            assert_eq!(round.inner.rounds, vec![admitted], "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn failed_set_round_keeps_only_the_one_at_a_time_charge() {
+        let t = truth(100, 30);
+        let ids = t.all_ids();
+        let sets: Vec<&[ObjectId]> = ids.chunks(10).collect();
+        let global = GlobalBudget::new(None, 50);
+        let budget = JobBudget::new(None, Arc::clone(&global));
+        let mut src = GovernedSource::new(
+            SetRounds {
+                inner: PerfectSource::new(&t),
+                rounds: Vec::new(),
+                fail_at: 4,
+                asked: 0,
+            },
+            budget.clone(),
+        );
+        let mut out = Vec::new();
+        let err = src.try_answer_sets(&sets, &female(), &mut out).unwrap_err();
+        assert!(matches!(err, AskError::SourceFailed(_)));
+        assert_eq!(out, vec![true, true, true, false]);
+        // Four answered plus the failed fifth; the five never asked are
+        // refunded on both ledgers.
+        assert_eq!(budget.tasks_spent(), 5);
+        assert_eq!(global.tasks_spent(), 5);
     }
 
     #[test]
