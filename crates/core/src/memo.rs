@@ -328,6 +328,116 @@ impl KnowledgeStore {
         }
         delta
     }
+
+    /// The object ids this store's facts carry: 1 per label and per
+    /// membership fact, 1 plus the key length per set verdict — the
+    /// measure [`for_each_chunk`](Self::for_each_chunk) bounds.
+    pub fn id_weight(&self) -> usize {
+        self.labels_known()
+            + self.membership_facts()
+            + self
+                .set_verdicts
+                .values()
+                .flat_map(HashMap::keys)
+                .map(|key| 1 + key.len())
+                .sum::<usize>()
+    }
+
+    /// Hands `self` to `f` in disjoint pieces of at most `max_ids`
+    /// [`id_weight`](Self::id_weight) each, whose
+    /// [`merge`](Self::merge) fold from the first piece equals `self`:
+    /// the first piece carries the [`ReuseStats`], and at least one piece
+    /// is always yielded. A single fact heavier than `max_ids` (a set
+    /// verdict with a longer key) travels alone in its own piece. Only one
+    /// piece exists at a time, so a caller can serialize a store of any
+    /// size in bounded memory.
+    ///
+    /// # Panics
+    /// Panics when `max_ids == 0`.
+    pub fn for_each_chunk(&self, max_ids: usize, f: impl FnMut(&KnowledgeStore)) {
+        assert!(max_ids > 0, "chunk bound must be positive");
+        let mut chunker = Chunker {
+            chunk: KnowledgeStore {
+                stats: self.stats,
+                ..KnowledgeStore::default()
+            },
+            weight: 0,
+            max_ids,
+            yielded: false,
+            f,
+        };
+        for (object, labels) in &self.labels {
+            chunker.make_room(1).labels.insert(*object, *labels);
+        }
+        for (facts, pick) in [(&self.members, true), (&self.non_members, false)] {
+            for (target, objects) in facts {
+                for object in objects {
+                    let chunk = chunker.make_room(1);
+                    let sets = if pick {
+                        &mut chunk.members
+                    } else {
+                        &mut chunk.non_members
+                    };
+                    match sets.get_mut(target) {
+                        Some(set) => {
+                            set.insert(*object);
+                        }
+                        None => {
+                            sets.insert(target.clone(), HashSet::from([*object]));
+                        }
+                    }
+                }
+            }
+        }
+        for (target, verdicts) in &self.set_verdicts {
+            for (objects, answer) in verdicts {
+                let chunk = chunker.make_room(1 + objects.len());
+                match chunk.set_verdicts.get_mut(target) {
+                    Some(held) => {
+                        held.insert(objects.clone(), *answer);
+                    }
+                    None => {
+                        chunk
+                            .set_verdicts
+                            .insert(target.clone(), HashMap::from([(objects.clone(), *answer)]));
+                    }
+                }
+            }
+        }
+        chunker.finish();
+    }
+}
+
+/// The running piece of [`KnowledgeStore::for_each_chunk`].
+struct Chunker<F> {
+    chunk: KnowledgeStore,
+    weight: usize,
+    max_ids: usize,
+    yielded: bool,
+    f: F,
+}
+
+impl<F: FnMut(&KnowledgeStore)> Chunker<F> {
+    /// Yields the running piece first if a fact of `weight` would push a
+    /// non-empty piece past the bound, then returns the piece to add the
+    /// fact to.
+    fn make_room(&mut self, weight: usize) -> &mut KnowledgeStore {
+        if self.weight > 0 && self.weight + weight > self.max_ids {
+            (self.f)(&self.chunk);
+            self.chunk = KnowledgeStore::default();
+            self.weight = 0;
+            self.yielded = true;
+        }
+        self.weight += weight;
+        &mut self.chunk
+    }
+
+    /// Yields the last piece — or the only one, for an empty store.
+    fn finish(mut self) {
+        if self.weight > 0 || !self.yielded {
+            (self.f)(&self.chunk);
+        }
+    }
 }
 
 /// An observer of **committed** facts, attached to a
@@ -2696,5 +2806,50 @@ mod tests {
         );
         let back: KnowledgeStore = serde_json::from_str(&json).unwrap();
         assert_eq!(back, store);
+    }
+
+    /// Chunking keeps every piece within the id bound (a lone heavier
+    /// verdict aside), puts the stats in the first piece, and folds back
+    /// to exactly the store it cut.
+    #[test]
+    fn chunks_stay_within_the_id_bound_and_fold_back() {
+        let female = Target::group(Pattern::parse("1").unwrap());
+        let mut store = KnowledgeStore::default();
+        for i in 0..23 {
+            store.record_labels(ObjectId(i), Labels::single((i % 2) as u8));
+        }
+        for i in 0..9u32 {
+            let key: Vec<ObjectId> = (100 + 10 * i..100 + 10 * i + i).map(ObjectId).collect();
+            store.record_set_answer(&key, &key, &female, i % 3 == 0);
+        }
+        let long: Vec<ObjectId> = (500..520).map(ObjectId).collect();
+        store.record_set_answer(&long, &long, &female.negated(), true);
+        store.stats = ReuseStats {
+            hits: 4,
+            ..ReuseStats::default()
+        };
+
+        let mut pieces: Vec<KnowledgeStore> = Vec::new();
+        store.for_each_chunk(8, |piece| pieces.push(piece.clone()));
+        assert!(pieces.len() > 5, "{} pieces", pieces.len());
+        for piece in &pieces {
+            assert!(
+                piece.id_weight() <= 8 || piece.fact_count() == 1,
+                "piece of weight {}",
+                piece.id_weight()
+            );
+        }
+        assert_eq!(pieces[0].stats, store.stats);
+        let total: usize = pieces.iter().map(KnowledgeStore::id_weight).sum();
+        assert_eq!(total, store.id_weight());
+        let mut folded = pieces[0].clone();
+        for piece in &pieces[1..] {
+            folded.merge(piece);
+        }
+        assert_eq!(folded, store);
+
+        let mut empty = Vec::new();
+        KnowledgeStore::default().for_each_chunk(8, |piece| empty.push(piece.clone()));
+        assert_eq!(empty, vec![KnowledgeStore::default()]);
     }
 }

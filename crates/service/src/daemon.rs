@@ -202,7 +202,9 @@ pub struct DaemonStats {
     pub submitted: u64,
     /// Jobs waiting for a worker right now.
     pub queued: u64,
-    /// Jobs executing right now.
+    /// Jobs executing right now. A worker cutting the snapshot its job's
+    /// boundary triggered still counts here, though the job's report is
+    /// already published.
     pub running: u64,
     /// Jobs with a terminal status — always the sum of the four split
     /// counters below, kept as its own field for wire compatibility (the
@@ -973,11 +975,6 @@ fn worker_loop(context: WorkerContext) {
         context
             .telemetry
             .record_submit_to_first_result_ms(submitted_at.elapsed().as_millis() as u64);
-        // Job boundaries are the snapshot cadence check: compacting here
-        // keeps the rotation off the per-fact hot path.
-        if let Some(persist) = &context.persist {
-            persist.maybe_snapshot(&context.memo_root);
-        }
         {
             let mut state = context.shared.lock();
             let job = &mut state.jobs[index];
@@ -985,8 +982,16 @@ fn worker_loop(context: WorkerContext) {
             job.report = Some(report);
             job.spec = None;
             state.finished_order.push(JobId(index as u64));
-            state.running -= 1;
         }
+        // Job boundaries are the snapshot cadence check: compacting here
+        // keeps the rotation off the per-fact hot path, and the report is
+        // already out, so only this worker waits for the cut. It still
+        // counts as running until the cut ends, so `drain` returns — and
+        // `finish` cuts its final snapshot — with no cut in flight.
+        if let Some(persist) = &context.persist {
+            persist.maybe_snapshot(&context.memo_root);
+        }
+        context.shared.lock().running -= 1;
         context.shared.wakeup.notify_all();
     }
 }
@@ -1048,6 +1053,48 @@ mod tests {
         }
         assert_eq!(daemon.jobs().len(), 4);
         daemon.shutdown().expect("first shutdown");
+    }
+
+    /// A job's report is published before its boundary's snapshot cut,
+    /// but the worker counts as running until the cut ends — so `drain`
+    /// never returns with a cut in flight, round after round.
+    #[test]
+    fn drain_returns_with_no_cut_in_flight() {
+        let truth = truth(600, 90);
+        let dir = std::env::temp_dir().join(format!("cvg-daemon-drain-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = AuditDaemon::start(
+            ServiceConfig {
+                workers: 2,
+                data_dir: Some(dir.clone()),
+                snapshot_every: 1,
+                ..ServiceConfig::default()
+            },
+            SharedTruthSource::new(Arc::clone(&truth)),
+        );
+        let persist = daemon.core.persist.clone().expect("data_dir set");
+        for round in 0..4 {
+            for i in 0..4 {
+                let lo = 100 * ((round + i) % 5);
+                let pool = truth.all_ids()[lo..lo + 200].to_vec();
+                daemon
+                    .submit(group_job(&format!("t{i}/r{round}"), pool))
+                    .unwrap();
+            }
+            daemon.drain();
+            assert!(!persist.cut_in_flight(), "round {round}");
+        }
+        assert!(
+            daemon
+                .telemetry()
+                .render_prometheus()
+                .lines()
+                .any(|line| line.starts_with("audit_snapshot_cut_ms_count ")
+                    && line != "audit_snapshot_cut_ms_count 0"),
+            "the cadence must have cut at least once"
+        );
+        daemon.shutdown().expect("shutdown");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

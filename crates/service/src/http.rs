@@ -559,7 +559,10 @@ impl Conn {
                 let (events, next) = daemon.telemetry().events_since(watch.cursor);
                 watch.cursor = next;
                 for event in events.iter().filter(|e| e.job == Some(watch.id.0)) {
-                    let line = serde_json::to_string(event).expect("trace event serializes");
+                    let Ok(line) = serde_json::to_string(event) else {
+                        daemon.telemetry().record_watch_line_dropped();
+                        continue;
+                    };
                     push_chunk(&mut self.write_buf, &format!("{line}\n"));
                     progress = true;
                 }
@@ -1294,6 +1297,20 @@ enum Body {
 /// travels on the refusal statuses so a polite client knows when to come
 /// back.
 fn encode_response(code: u16, body: Body, retry_after: Option<u64>, keep: bool) -> Vec<u8> {
+    let (code, content_type, body) = match body {
+        Body::Json(value) => match serde_json::to_string_pretty(&value) {
+            Ok(text) => (code, "application/json", text),
+            // A body that will not serialize fails this one reply, never
+            // the event loop serving every connection.
+            Err(_) => (
+                500,
+                "application/json",
+                String::from("{\"error\": \"reply did not serialize\"}"),
+            ),
+        },
+        // The Prometheus text exposition format, version 0.0.4.
+        Body::Text(text) => (code, "text/plain; version=0.0.4", text),
+    };
     let reason = match code {
         200 => "OK",
         201 => "Created",
@@ -1305,14 +1322,6 @@ fn encode_response(code: u16, body: Body, retry_after: Option<u64>, keep: bool) 
         429 => "Too Many Requests",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
-    };
-    let (content_type, body) = match body {
-        Body::Json(value) => (
-            "application/json",
-            serde_json::to_string_pretty(&value).expect("reply serializes"),
-        ),
-        // The Prometheus text exposition format, version 0.0.4.
-        Body::Text(text) => ("text/plain; version=0.0.4", text),
     };
     let connection = if keep { "keep-alive" } else { "close" };
     let mut head = format!(

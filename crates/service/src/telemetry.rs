@@ -482,6 +482,7 @@ struct Inner {
     spill_recalls: Counter,
     // HTTP connection engine.
     keepalive_reuses: Counter,
+    watch_lines_dropped: Counter,
     http_active_connections: Gauge,
     // Fleet plane (anti-entropy deltas, degraded-mode forwards).
     fleet_deltas: LabeledCounter,
@@ -506,6 +507,8 @@ struct Inner {
     hit_round_trip_ms: Histogram,
     dispatch_round_questions: Histogram,
     point_batch_size: Histogram,
+    snapshot_cut_ms: Histogram,
+    snapshot_cut_facts: Histogram,
     // Tracing.
     trace: Mutex<TraceRing>,
 }
@@ -570,6 +573,7 @@ impl Telemetry {
                 spilled_labels: Counter::default(),
                 spill_recalls: Counter::default(),
                 keepalive_reuses: Counter::default(),
+                watch_lines_dropped: Counter::default(),
                 http_active_connections: Gauge::default(),
                 fleet_deltas: LabeledCounter::new(&["peer"]),
                 fleet_forwarded: Counter::default(),
@@ -588,6 +592,8 @@ impl Telemetry {
                 hit_round_trip_ms: Histogram::new(),
                 dispatch_round_questions: Histogram::new(),
                 point_batch_size: Histogram::new(),
+                snapshot_cut_ms: Histogram::new(),
+                snapshot_cut_facts: Histogram::new(),
                 trace: Mutex::new(TraceRing::new(trace_capacity)),
             })),
         }
@@ -805,10 +811,14 @@ impl Telemetry {
         }
     }
 
-    /// One compacted snapshot written (rotation included).
-    pub fn record_snapshot_write(&self) {
+    /// One compacted snapshot written (rotation included): its wall time
+    /// from rotation to the deletion of the old generation, and the facts
+    /// it holds.
+    pub fn record_snapshot_cut(&self, ms: u64, facts: u64) {
         if let Some(inner) = &self.inner {
             inner.snapshot_writes.inc();
+            inner.snapshot_cut_ms.record_ms(ms);
+            inner.snapshot_cut_facts.record(facts);
         }
     }
 
@@ -878,6 +888,14 @@ impl Telemetry {
             .as_ref()
             .map(|i| i.keepalive_reuses.get())
             .unwrap_or(0)
+    }
+
+    /// One trace event left out of a watch stream because it would not
+    /// serialize.
+    pub fn record_watch_line_dropped(&self) {
+        if let Some(inner) = &self.inner {
+            inner.watch_lines_dropped.inc();
+        }
     }
 
     // ---- tracing --------------------------------------------------------
@@ -978,6 +996,12 @@ impl Telemetry {
             "Requests served on an already-open keep-alive connection.",
             &inner.keepalive_reuses,
         );
+        render_counter(
+            &mut out,
+            "audit_watch_lines_dropped_total",
+            "Trace events left out of a watch stream because they would not serialize.",
+            &inner.watch_lines_dropped,
+        );
         inner.fleet_deltas.render(
             "audit_fleet_deltas_total",
             "Anti-entropy knowledge deltas absorbed, by sending peer.",
@@ -1068,6 +1092,16 @@ impl Telemetry {
         inner.point_batch_size.render(
             "audit_point_batch_size",
             "Images per coalesced point-label HIT.",
+            &mut out,
+        );
+        inner.snapshot_cut_ms.render(
+            "audit_snapshot_cut_ms",
+            "Wall time per snapshot cut, rotation to old-generation delete, ms.",
+            &mut out,
+        );
+        inner.snapshot_cut_facts.render(
+            "audit_snapshot_cut_facts",
+            "Facts written per snapshot cut.",
             &mut out,
         );
         out
@@ -1206,20 +1240,27 @@ mod tests {
     fn persistence_counters_render() {
         let telemetry = Telemetry::new(4);
         telemetry.record_wal_records(7);
-        telemetry.record_snapshot_write();
+        telemetry.record_snapshot_cut(300, 918);
         telemetry.record_recovered_facts(42);
         telemetry.record_spilled_labels(5);
         telemetry.record_spill_recalls(2);
         let text = telemetry.render_prometheus();
         assert!(text.contains("audit_wal_records_total 7"), "{text}");
         assert!(text.contains("audit_snapshot_writes_total 1"), "{text}");
+        assert!(text.contains("audit_snapshot_cut_ms_sum 300"), "{text}");
+        assert!(
+            text.contains("audit_snapshot_cut_ms_bucket{le=\"512\"} 1"),
+            "{text}"
+        );
+        assert!(text.contains("audit_snapshot_cut_facts_sum 918"), "{text}");
+        assert!(text.contains("audit_snapshot_cut_facts_count 1"), "{text}");
         assert!(text.contains("audit_recovered_facts_total 42"), "{text}");
         assert!(text.contains("audit_spilled_labels_total 5"), "{text}");
         assert!(text.contains("audit_spill_recalls_total 2"), "{text}");
         // The disabled plane swallows them silently.
         let disabled = Telemetry::disabled();
         disabled.record_wal_records(1);
-        disabled.record_snapshot_write();
+        disabled.record_snapshot_cut(1, 1);
         disabled.record_recovered_facts(1);
         disabled.record_spilled_labels(1);
         disabled.record_spill_recalls(1);

@@ -226,16 +226,21 @@ fn counter(daemon: &AuditDaemon<SharedTruthSource<VecGroundTruth>>, name: &str) 
 
 /// Truncates the current-generation WAL to `permille`/1000 of its length —
 /// the crash injection. A mid-frame cut leaves a torn tail the next open
-/// must discard cleanly.
+/// must discard cleanly. The newest WAL is the highest parsed generation
+/// (`wal-10.log` is newer than `wal-9.log`, though it sorts first as text).
 fn cut_wal(dir: &Path, permille: u64) -> (u64, u64) {
-    let wal = fs::read_dir(dir)
+    let (_, wal) = fs::read_dir(dir)
         .unwrap()
         .filter_map(|entry| {
             let path = entry.unwrap().path();
-            path.file_name()?
+            let generation: u64 = path
+                .file_name()?
                 .to_str()?
-                .starts_with("wal-")
-                .then_some(path)
+                .strip_prefix("wal-")?
+                .strip_suffix(".log")?
+                .parse()
+                .ok()?;
+            Some((generation, path))
         })
         .max()
         .expect("a persisting daemon leaves a WAL");
